@@ -3,7 +3,7 @@
 //!
 //! The whole regression story of this reproduction rests on
 //! bit-identical [`SimulationReport::digest`] values across thread
-//! counts, incremental modes and the serve protocol. This crate is the
+//! counts, checkpoint resumes and the serve protocol. This crate is the
 //! machine-enforced half of that contract: a dependency-free Rust
 //! [`lexer`], a set of [`rules`] encoding the project invariants
 //! (no unordered hash iteration in digest-feeding crates, no

@@ -9,7 +9,7 @@
 //! | id | severity | scope | invariant |
 //! |----|----------|-------|-----------|
 //! | D1 | deny | engine crates | no unordered `HashMap`/`HashSet` iteration |
-//! | D2 | deny | everything but bench-timing bins | no wall-clock / entropy / env reads |
+//! | D2 | deny | everywhere | no wall-clock / entropy / env reads |
 //! | D3 | deny | engine crates | no `std::fs` outside `dcsim/src/checkpoint.rs` |
 //! | R1 | deny | service layer | no `.unwrap()` / `.expect(` / panicking macros |
 //! | S1 | deny | everywhere | `unsafe` requires a `// SAFETY:` comment |
@@ -87,8 +87,8 @@ impl RuleId {
                  (iteration order would leak into reports)"
             }
             RuleId::D2 => {
-                "no SystemTime/Instant/entropy/env reads outside the allowlisted \
-                 bench-timing binaries (runs must be input-determined)"
+                "no SystemTime/Instant/entropy/env reads without an inline \
+                 audit:allow(D2) (runs must be input-determined)"
             }
             RuleId::D3 => {
                 "no std::fs in engine crates outside dcsim/src/checkpoint.rs \
@@ -152,14 +152,6 @@ const D1_SCOPE: [&str; 8] = [
     "crates/baselines/",
 ];
 
-/// Binaries whose whole job is wall-clock measurement; `Instant::now`
-/// is their output, not hidden state.
-const D2_ALLOWLIST: [&str; 3] = [
-    "crates/bench/src/bin/bench_report.rs",
-    "crates/bench/src/bin/stress_smoke.rs",
-    "crates/bench/src/bin/diag_stress_profile.rs",
-];
-
 /// Engine crates: pure functions of config + seed. File I/O belongs to
 /// the bench harness and the checkpoint layer, never to simulation
 /// state transitions.
@@ -208,9 +200,7 @@ pub fn audit_file(rel_path: &str, src: &str) -> Vec<Finding> {
     if D1_SCOPE.iter().any(|p| rel_path.starts_with(p)) {
         findings.extend(check_d1(rel_path, src, &tokens));
     }
-    if !D2_ALLOWLIST.contains(&rel_path) {
-        findings.extend(check_d2(rel_path, src, &tokens));
-    }
+    findings.extend(check_d2(rel_path, src, &tokens));
     if D3_SCOPE.iter().any(|p| rel_path.starts_with(p)) && !D3_EXEMPT.contains(&rel_path) {
         findings.extend(check_d3(rel_path, src, &tokens));
     }

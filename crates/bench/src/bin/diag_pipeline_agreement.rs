@@ -10,15 +10,18 @@
 //! average each side, compare the means (the chaotic part is
 //! sign-alternating and cancels; a real bias would not).
 //!
-//! Flags: `--slots N` (horizon, default 48), `--seeds a,b,c`
-//! (default 7,11,23,42,77,101,131,999); the fleet is always the repro
-//! scale (~400 VMs).
+//! Flags: `--scenario NAME` (the preset both sides run, default
+//! `paper`), `--slots N` (horizon, default 48), `--seeds a,b,c`
+//! (default 7,11,23,42,77,101,131,999). The fleet is always the repro
+//! scale (~400 VMs), so the scale flags and `--seed` are rejected
+//! rather than ignored.
 
 use geoplace_bench::scenario::run_proposed_with;
-use geoplace_bench::{flag_from_args, CliArgs, Scale};
+use geoplace_bench::{dense_sparse_pair, enforce_flags_or_exit, flag_from_args, CliArgs, Scale};
 use geoplace_core::ProposedConfig;
 
 fn main() {
+    enforce_flags_or_exit(&[("--scenario", true), ("--slots", true), ("--seeds", true)]);
     let cli = CliArgs::parse_strict(&[("--slots", true), ("--seeds", true)]);
     let slots: u32 = flag_from_args("--slots").unwrap_or(48);
     let seeds: Vec<u64> = flag_from_args::<String>("--seeds")
@@ -40,16 +43,10 @@ fn main() {
     let mut dense_mean = [0.0f64; 3];
     let mut sparse_mean = [0.0f64; 3];
     for &seed in &seeds {
-        let mut dense_config = cli.world.apply(Scale::Repro.config(seed));
-        dense_config.horizon_slots = slots;
-        dense_config.sparsity = dense_config.sparsity.dense();
+        let mut base = cli.world.apply(Scale::Repro.config(seed));
+        base.horizon_slots = slots;
+        let (dense_config, sparse_config) = dense_sparse_pair(&base);
         let dense = run_proposed_with(&dense_config, ProposedConfig::default()).totals();
-
-        let mut sparse_config = Scale::Repro.config(seed);
-        sparse_config.horizon_slots = slots;
-        sparse_config.sparsity = sparse_config.sparsity.sparse();
-        sparse_config.sparsity.top_k = 64;
-        sparse_config.sparsity.candidates_per_vm = 512;
         let sparse = run_proposed_with(&sparse_config, ProposedConfig::default()).totals();
 
         println!(

@@ -1,5 +1,5 @@
 //! Reproduction harness: scenario builders, policy runners and table
-//! rendering shared by the `repro_*` binaries and the Criterion benches.
+//! rendering shared by the `repro_*` binaries.
 //!
 //! One binary per table/figure of the paper:
 //!
@@ -17,10 +17,10 @@
 //! | `repro_qos_sweep` | ablation: Algorithm 2's QoS budget |
 //! | `repro_green_ablation` | ablation: green-controller arbitrage |
 //!
-//! Plus the scaling/CI harness: `stress_smoke` (≈10k-VM sparse-pipeline
-//! run), `ci_determinism` (same-seed double-run gate),
-//! `diag_pipeline_agreement` (dense↔sparse paired-mean comparison) and
-//! `diag_stress_profile` (slot-step wall-time breakdown).
+//! Plus the diagnostics: `diag_pipeline_agreement` (dense↔sparse
+//! paired-mean comparison), `diag_caps_sweep` and `diag_distribution`.
+//! Performance is measured by `perfbench` (`python3 perfbench/run.py`,
+//! declared in `BENCHMARK.json`), not by a binary here.
 //!
 //! All binaries accept `--paper` (Table I scale), `--bench` (one-day
 //! mini scale) and `--stress` (≈10k-VM one-day scale); the default is
@@ -44,8 +44,8 @@ pub mod serve;
 pub mod table;
 
 pub use scenario::{
-    check_unknown_flags, enforce_flags_or_exit, flag_from_args, golden_row, parse_seed,
-    proposed_config_for, quick_matrix_config, run_all, run_policy, run_policy_threads,
-    run_proposed_with, seed_from_args, stress_proposed_config, CliArgs, PolicyKind, Scale,
-    BASE_FLAGS, QUICK_MATRIX_SEEDS, QUICK_MATRIX_SLOTS,
+    check_unknown_flags, dense_sparse_pair, enforce_flags_or_exit, flag_from_args, golden_row,
+    parse_seed, proposed_config_for, quick_matrix_config, run_all, run_policy, run_policy_threads,
+    run_proposed_with, CliArgs, PolicyKind, Scale, BASE_FLAGS, QUICK_MATRIX_SEEDS,
+    QUICK_MATRIX_SLOTS,
 };

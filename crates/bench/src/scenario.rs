@@ -9,7 +9,8 @@
 //! * **repro** (default) — the same three sites at 1/5 fleet size and the
 //!   full one-week horizon (~400 VMs), which preserves every diurnal
 //!   price/PV/PUE interaction while finishing in tens of seconds;
-//! * **bench** — a one-day, ~100-VM configuration for Criterion;
+//! * **bench** — a one-day, ~100-VM configuration for quick runs, the
+//!   golden matrix and the tests;
 //! * **stress** — the same three sites grown to ≈10,000 concurrent VMs
 //!   over one day, exercising the sparse slot pipeline.
 
@@ -27,35 +28,17 @@ pub enum Scale {
     Paper,
     /// 1/5 fleet; one week (default for the `repro_*` binaries).
     Repro,
-    /// 1/10 fleet; one day (Criterion).
+    /// 1/10 fleet; one day (quick runs, the golden matrix, tests).
     Bench,
     /// ≈10,000 concurrent VMs, 3 sites, one day — the sparse-pipeline
     /// scaling scenario.
     Stress,
 }
 
-/// Parses `--seed N` from the process arguments, defaulting to 42 —
-/// every `repro_*` binary accepts it so robustness across worlds is one
-/// flag away.
-///
-/// A present-but-unparsable `--seed` terminates the process with a clear
-/// error (exit code 2) instead of silently running the default world: a
-/// sweep script with a typoed seed must fail loudly, not produce
-/// plausible-looking numbers for the wrong scenario.
-pub fn seed_from_args() -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    match parse_seed(&args) {
-        Ok(seed) => seed,
-        Err(message) => {
-            eprintln!("error: {message}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Pure parsing behind [`seed_from_args`]: `Ok(42)` when `--seed` is
-/// absent, the parsed value when well-formed, and `Err` when the flag is
-/// present without a valid u64.
+/// Parses `--seed N`: `Ok(42)` when the flag is absent, the parsed
+/// value when well-formed, and `Err` when the flag is present without a
+/// valid u64 — a sweep script with a typoed seed must fail loudly, not
+/// produce plausible-looking numbers for the wrong scenario.
 pub fn parse_seed(args: &[String]) -> Result<u64, String> {
     let Some(position) = args.iter().position(|a| a == "--seed") else {
         return Ok(42);
@@ -293,11 +276,20 @@ pub fn proposed_config_for(config: &ScenarioConfig) -> ProposedConfig {
     proposed
 }
 
-/// The [`ProposedConfig`] stress runs use (probe-bounded local packer).
-pub fn stress_proposed_config() -> ProposedConfig {
-    let mut config = ProposedConfig::default();
-    config.local.probe_limit = SPARSE_SCALE_PROBE_LIMIT;
-    config
+/// The two sides of a dense↔sparse paired comparison over one world:
+/// `base` with the dense kernels forced, and `base` with the sparse
+/// kernels forced. Nothing but `sparsity` differs, so a paired mean
+/// over seeds isolates the sparse approximation. The sparse side is
+/// tuned for the ~400-VM repro fleet: the candidate screen covers the
+/// whole fleet, so only the far-field approximation differs from dense.
+pub fn dense_sparse_pair(base: &ScenarioConfig) -> (ScenarioConfig, ScenarioConfig) {
+    let mut dense = base.clone();
+    dense.sparsity.dense_crossover = usize::MAX;
+    let mut sparse = base.clone();
+    sparse.sparsity.dense_crossover = 0;
+    sparse.sparsity.top_k = 64;
+    sparse.sparsity.candidates_per_vm = 512;
+    (dense, sparse)
 }
 
 /// The four compared policies.
@@ -463,7 +455,7 @@ pub fn parse_golden_file(content: &str) -> std::collections::BTreeMap<String, St
 /// Value of `--<name>` from the process arguments, parsed as `T`.
 /// `None` when the flag is absent; a present-but-missing or unparsable
 /// value terminates the process with a clear error (exit code 2), the
-/// convention every harness flag follows (see [`seed_from_args`]).
+/// convention every harness flag follows.
 pub fn flag_from_args<T: std::str::FromStr>(name: &str) -> Option<T> {
     let args: Vec<String> = std::env::args().collect();
     let position = args.iter().position(|a| a == name)?;
@@ -681,7 +673,6 @@ mod tests {
             .sparsity
             .use_sparse(config.fleet.arrivals.expected_population() as usize));
         assert_eq!(config.horizon_slots, 24);
-        assert!(stress_proposed_config().local.probe_limit < usize::MAX);
     }
 
     #[test]
@@ -694,10 +685,26 @@ mod tests {
         let stress = Scale::Stress.config(1);
         assert_eq!(
             proposed_config_for(&stress).local.probe_limit,
-            stress_proposed_config().local.probe_limit
+            SPARSE_SCALE_PROBE_LIMIT
         );
         let paper = Scale::Paper.config(1);
         assert!(proposed_config_for(&paper).local.probe_limit < usize::MAX);
+    }
+
+    #[test]
+    fn dense_sparse_pair_differs_only_in_sparsity() {
+        let base = CliArgs::from_slice(&args(&["bin", "--scenario", "flash_crowd"]))
+            .unwrap()
+            .config();
+        assert_ne!(base, Scale::Repro.config(42), "the preset must apply");
+        let (mut dense, mut sparse) = dense_sparse_pair(&base);
+        assert!(!dense.sparsity.use_sparse(1_000_000));
+        assert!(sparse.sparsity.use_sparse(2));
+        assert_ne!(dense.sparsity, sparse.sparsity);
+        dense.sparsity = base.sparsity;
+        sparse.sparsity = base.sparsity;
+        assert_eq!(dense, base);
+        assert_eq!(sparse, base);
     }
 
     #[test]

@@ -9,21 +9,23 @@
 //! only correct if resuming from it is indistinguishable from never
 //! having stopped.
 //!
-//! The engine mode (incremental/from-scratch) and kernel thread count
-//! {1, 2, 8} cycle deterministically across cells, so every (mode,
-//! threads) combination is exercised against multiple presets without
-//! multiplying the runtime by six. A separate focused test pins the
-//! per-slot state-hash convergence contract: identical hashes at every
-//! boundary across both modes and all three thread counts.
+//! The kernel thread count {1, 2, 8} cycles deterministically across
+//! cells, so every thread count is exercised against multiple presets
+//! without multiplying the runtime by three. Every slot, the first one
+//! after the restore included, checks the observation against a
+//! from-scratch rebuild. A separate focused test pins the per-slot
+//! state-hash convergence contract: identical hashes at every boundary
+//! across all three thread counts.
 
 use geoplace_bench::scenario::{
     golden_digests_path, parse_golden_file, policy_for, quick_matrix_config, PolicyKind,
     QUICK_MATRIX_SEEDS, QUICK_MATRIX_SLOTS,
 };
 use geoplace_dcsim::checkpoint::{checkpoint_with_policy, restore_with_policy};
-use geoplace_dcsim::config::{IncrementalConfig, ScenarioConfig};
+use geoplace_dcsim::config::ScenarioConfig;
 use geoplace_dcsim::engine::{Scenario, Simulator};
 use geoplace_dcsim::stepper::SlotStepper;
+use geoplace_dcsim::testkit::assert_observation_matches_rebuild;
 use geoplace_types::snap::Checkpoint;
 use geoplace_types::Parallelism;
 use geoplace_workload::source::SyntheticSource;
@@ -41,6 +43,7 @@ fn resumed_digest(config: &ScenarioConfig, kind: PolicyKind, ck_slot: u32, cell:
     let mut source = SyntheticSource;
     for _ in 0..ck_slot {
         stepper.advance_world(&mut source).expect(cell);
+        assert_observation_matches_rebuild(&stepper);
         let d = policy.decide(&stepper.observe());
         stepper.apply(d).expect(cell);
     }
@@ -61,6 +64,7 @@ fn resumed_digest(config: &ScenarioConfig, kind: PolicyKind, ck_slot: u32, cell:
     restore_with_policy(&mut resumed, &mut *fresh, &ck).expect(cell);
     while !resumed.is_done() {
         resumed.advance_world(&mut source).expect(cell);
+        assert_observation_matches_rebuild(&resumed);
         let d = fresh.decide(&resumed.observe());
         resumed.apply(d).expect(cell);
     }
@@ -79,16 +83,14 @@ fn every_golden_cell_resumes_to_its_committed_digest() {
     for spec in geoplace_scenarios::registry() {
         for &seed in &QUICK_MATRIX_SEEDS {
             for policy in PolicyKind::ALL {
-                // Cycle mode and threads deterministically across cells.
-                let mode = [IncrementalConfig::Off, IncrementalConfig::Auto][cell_index % 2];
-                let threads = [1usize, 2, 8][(cell_index / 2) % 3];
+                // Cycle the thread count deterministically across cells.
+                let threads = [1usize, 2, 8][cell_index % 3];
                 cell_index += 1;
 
                 let mut config = quick_matrix_config(&spec, seed);
-                config.incremental = mode;
                 config.parallelism = Parallelism::Threads(threads);
                 let cell = format!(
-                    "{}/{}/seed {seed} ({mode:?}, {threads} threads)",
+                    "{}/{}/seed {seed} ({threads} threads)",
                     spec.name,
                     policy.name()
                 );
@@ -117,37 +119,34 @@ fn every_golden_cell_resumes_to_its_committed_digest() {
 }
 
 /// The state-hash convergence contract: the per-slot hash is a function
-/// of the simulated state alone, so both engine modes and every thread
-/// count must produce identical hash sequences — and the same sequence
-/// must reappear after a mid-run restore.
+/// of the simulated state alone, so every thread count must produce
+/// the identical hash sequence.
 #[test]
-fn per_slot_state_hashes_are_mode_and_thread_invariant() {
+fn per_slot_state_hashes_are_thread_invariant() {
     let spec = geoplace_scenarios::registry()
         .into_iter()
         .next()
         .expect("non-empty registry");
     let mut reference: Option<Vec<u64>> = None;
-    for mode in [IncrementalConfig::Off, IncrementalConfig::Auto] {
-        for threads in [1usize, 2, 8] {
-            let mut config = quick_matrix_config(&spec, 42);
-            config.incremental = mode;
-            config.parallelism = Parallelism::Threads(threads);
-            let mut stepper = fresh_stepper(&config);
-            let mut policy = policy_for(&config, PolicyKind::Proposed);
-            let mut source = SyntheticSource;
-            let mut hashes = Vec::new();
-            while !stepper.is_done() {
-                stepper.advance_world(&mut source).expect("advance");
-                let d = policy.decide(&stepper.observe());
-                hashes.push(stepper.apply(d).expect("apply").state_hash);
-            }
-            match &reference {
-                None => reference = Some(hashes),
-                Some(expected) => assert_eq!(
-                    &hashes, expected,
-                    "state hashes diverged under ({mode:?}, {threads} threads)"
-                ),
-            }
+    for threads in [1usize, 2, 8] {
+        let mut config = quick_matrix_config(&spec, 42);
+        config.parallelism = Parallelism::Threads(threads);
+        let mut stepper = fresh_stepper(&config);
+        let mut policy = policy_for(&config, PolicyKind::Proposed);
+        let mut source = SyntheticSource;
+        let mut hashes = Vec::new();
+        while !stepper.is_done() {
+            stepper.advance_world(&mut source).expect("advance");
+            assert_observation_matches_rebuild(&stepper);
+            let d = policy.decide(&stepper.observe());
+            hashes.push(stepper.apply(d).expect("apply").state_hash);
+        }
+        match &reference {
+            None => reference = Some(hashes),
+            Some(expected) => assert_eq!(
+                &hashes, expected,
+                "state hashes diverged at {threads} threads"
+            ),
         }
     }
 }

@@ -3,8 +3,9 @@
 //! Proptest generates small worlds — random arrival regimes, scripted
 //! trace arrivals, and event timelines mixing every [`EventKind`]
 //! (including outages, partitions and cascades) — and runs short
-//! horizons across all four policies in both engine modes. Every run
-//! must uphold the invariants no perturbation is allowed to break:
+//! horizons across all four policies. Every slot's observation is
+//! checked against a from-scratch rebuild, and every run must uphold
+//! the invariants no perturbation is allowed to break:
 //!
 //! * **Ledger conservation** — [`SimulationReport::totals`] equals the
 //!   sum of its own hourly records (cost, energy, migrations);
@@ -14,8 +15,7 @@
 //!   fleet-wide usable capacity implied by the timeline's derates,
 //!   cascades and outages at that slot;
 //! * **Determinism** — digests are bit-identical across worker-thread
-//!   counts {1, 2, 8} and between the incremental and the from-scratch
-//!   observation pipelines;
+//!   counts {1, 2, 8};
 //! * **Sorted active sets** — the fleet's active-VM list stays strictly
 //!   sorted through arbitrary churn, scripted arrivals included.
 //!
@@ -23,12 +23,16 @@
 //! every fuzzed report) — see README § Fuzzing. CI runs this file as a
 //! dedicated capped step with `FUZZ_WORLDS_QUICK=1`.
 
-use geoplace_bench::scenario::{policy_for, run_policy, PolicyKind};
+mod common;
+
+use common::run_checked;
+use geoplace_bench::scenario::{policy_for, PolicyKind};
 use geoplace_dcsim::checkpoint::{checkpoint_with_policy, restore_with_policy};
-use geoplace_dcsim::config::{IncrementalConfig, ScenarioConfig};
+use geoplace_dcsim::config::ScenarioConfig;
 use geoplace_dcsim::engine::{Scenario, Simulator};
 use geoplace_dcsim::events::{effective_servers, EngineEvent, EventKind};
 use geoplace_dcsim::metrics::SimulationReport;
+use geoplace_dcsim::testkit::assert_observation_matches_rebuild;
 use geoplace_types::snap::Checkpoint;
 use geoplace_types::time::TimeSlot;
 use geoplace_types::Parallelism;
@@ -154,16 +158,10 @@ fn usable_capacity(config: &ScenarioConfig, slot: TimeSlot) -> u32 {
         .sum()
 }
 
-fn run_mode(
-    config: &ScenarioConfig,
-    kind: PolicyKind,
-    mode: IncrementalConfig,
-    threads: usize,
-) -> SimulationReport {
+fn run_at(config: &ScenarioConfig, kind: PolicyKind, threads: usize) -> SimulationReport {
     let mut config = config.clone();
-    config.incremental = mode;
     config.parallelism = Parallelism::Threads(threads);
-    run_policy(&config, kind)
+    run_checked(&config, kind)
 }
 
 /// The global invariant suite, applied to every fuzzed report.
@@ -228,9 +226,9 @@ fn check_invariants(config: &ScenarioConfig, report: &SimulationReport) -> Resul
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
 
-    /// Random worlds with failure-heavy timelines: every policy, both
-    /// pipeline modes, thread counts {1, 2, 8} — the invariants hold
-    /// and the digests agree.
+    /// Random worlds with failure-heavy timelines: every policy at
+    /// thread counts {1, 2, 8} — every slot matches the rebuild, the
+    /// invariants hold and the digests agree.
     #[test]
     fn fuzzed_worlds_uphold_the_global_invariants(
         seed in 0u64..1000,
@@ -243,17 +241,15 @@ proptest! {
         let config = fuzzed_config(seed, initial_groups, groups_per_slot, horizon, &events, &scripts);
         prop_assert!(config.validate().is_ok(), "fuzzed config invalid: {:?}", config.validate());
         for policy in PolicyKind::ALL {
-            let reference = run_mode(&config, policy, IncrementalConfig::Off, 1);
+            let reference = run_at(&config, policy, 1);
             if let Err(msg) = check_invariants(&config, &reference) {
                 prop_assert!(false, "seed {}: {}", seed, msg);
             }
-            for threads in [1usize, 2, 8] {
-                let incremental =
-                    run_mode(&config, policy, IncrementalConfig::Auto, threads);
+            for threads in [2usize, 8] {
                 prop_assert_eq!(
-                    incremental.digest(),
+                    run_at(&config, policy, threads).digest(),
                     reference.digest(),
-                    "{} seed {}: incremental at {} threads diverged from from-scratch",
+                    "{} seed {}: {} threads diverged",
                     policy.name(),
                     seed,
                     threads
@@ -267,7 +263,8 @@ proptest! {
     /// through the codec, and resuming into fresh process state
     /// reproduces the uninterrupted run's digest AND its per-slot state
     /// hashes bit-for-bit. The timeline carries one event of every
-    /// [`EventKind`] and the world runs in both engine modes.
+    /// [`EventKind`], and every slot of both runs, the first one after
+    /// the restore included, matches the rebuild.
     #[test]
     fn fuzzed_checkpoints_resume_bit_identically(
         seed in 0u64..1000,
@@ -286,67 +283,62 @@ proptest! {
             .map(|(i, &((_, dc, fleet_wide), rest))| ((i as u8, dc, fleet_wide), rest))
             .collect();
         let ck_slot = 1 + ck_pick % (horizon - 1);
-        for mode in [IncrementalConfig::Off, IncrementalConfig::Auto] {
-            let mut config =
-                fuzzed_config(seed, initial_groups, groups_per_slot, horizon, &events, &[]);
-            config.incremental = mode;
-            prop_assert!(config.validate().is_ok(), "fuzzed config invalid: {:?}", config.validate());
+        let config = fuzzed_config(seed, initial_groups, groups_per_slot, horizon, &events, &[]);
+        prop_assert!(config.validate().is_ok(), "fuzzed config invalid: {:?}", config.validate());
 
-            // Uninterrupted reference, recording every slot's state hash.
-            let mut stepper = Simulator::new(Scenario::build(&config).unwrap()).into_stepper();
-            let mut policy = policy_for(&config, PolicyKind::Proposed);
-            let mut source = SyntheticSource;
-            let mut reference_hashes = Vec::new();
-            while !stepper.is_done() {
-                stepper.advance_world(&mut source).unwrap();
-                let d = policy.decide(&stepper.observe());
-                reference_hashes.push(stepper.apply(d).unwrap().state_hash);
-            }
-            let reference = stepper.into_report(policy.name());
-
-            // Interrupted run: freeze at ck_slot, codec round-trip,
-            // restore into entirely fresh state, resume to the horizon.
-            let mut stepper = Simulator::new(Scenario::build(&config).unwrap()).into_stepper();
-            let mut policy = policy_for(&config, PolicyKind::Proposed);
-            for _ in 0..ck_slot {
-                stepper.advance_world(&mut source).unwrap();
-                let d = policy.decide(&stepper.observe());
-                stepper.apply(d).unwrap();
-            }
-            let ck = checkpoint_with_policy(&stepper, &*policy).unwrap();
-            let ck = Checkpoint::decode(&ck.encode()).unwrap();
-            prop_assert_eq!(
-                ck.state_hash,
-                reference_hashes[ck_slot as usize - 1],
-                "checkpoint hash at slot {} diverged from the uninterrupted run ({:?})",
-                ck_slot,
-                mode
-            );
-            let mut resumed = Simulator::new(Scenario::build(&config).unwrap()).into_stepper();
-            let mut fresh = policy_for(&config, PolicyKind::Proposed);
-            restore_with_policy(&mut resumed, &mut *fresh, &ck).unwrap();
-            let mut resumed_hashes = Vec::new();
-            while !resumed.is_done() {
-                resumed.advance_world(&mut source).unwrap();
-                let d = fresh.decide(&resumed.observe());
-                resumed_hashes.push(resumed.apply(d).unwrap().state_hash);
-            }
-            prop_assert_eq!(
-                &resumed_hashes,
-                &reference_hashes[ck_slot as usize..],
-                "per-slot state hashes diverged after resuming at slot {} ({:?})",
-                ck_slot,
-                mode
-            );
-            let report = resumed.into_report(fresh.name());
-            prop_assert_eq!(
-                report.digest(),
-                reference.digest(),
-                "resumed digest diverged at checkpoint slot {} ({:?})",
-                ck_slot,
-                mode
-            );
+        // Uninterrupted reference, recording every slot's state hash.
+        let mut stepper = Simulator::new(Scenario::build(&config).unwrap()).into_stepper();
+        let mut policy = policy_for(&config, PolicyKind::Proposed);
+        let mut source = SyntheticSource;
+        let mut reference_hashes = Vec::new();
+        while !stepper.is_done() {
+            stepper.advance_world(&mut source).unwrap();
+            assert_observation_matches_rebuild(&stepper);
+            let d = policy.decide(&stepper.observe());
+            reference_hashes.push(stepper.apply(d).unwrap().state_hash);
         }
+        let reference = stepper.into_report(policy.name());
+
+        // Interrupted run: freeze at ck_slot, codec round-trip, restore
+        // into entirely fresh state, resume to the horizon.
+        let mut stepper = Simulator::new(Scenario::build(&config).unwrap()).into_stepper();
+        let mut policy = policy_for(&config, PolicyKind::Proposed);
+        for _ in 0..ck_slot {
+            stepper.advance_world(&mut source).unwrap();
+            let d = policy.decide(&stepper.observe());
+            stepper.apply(d).unwrap();
+        }
+        let ck = checkpoint_with_policy(&stepper, &*policy).unwrap();
+        let ck = Checkpoint::decode(&ck.encode()).unwrap();
+        prop_assert_eq!(
+            ck.state_hash,
+            reference_hashes[ck_slot as usize - 1],
+            "checkpoint hash at slot {} diverged from the uninterrupted run",
+            ck_slot
+        );
+        let mut resumed = Simulator::new(Scenario::build(&config).unwrap()).into_stepper();
+        let mut fresh = policy_for(&config, PolicyKind::Proposed);
+        restore_with_policy(&mut resumed, &mut *fresh, &ck).unwrap();
+        let mut resumed_hashes = Vec::new();
+        while !resumed.is_done() {
+            resumed.advance_world(&mut source).unwrap();
+            assert_observation_matches_rebuild(&resumed);
+            let d = fresh.decide(&resumed.observe());
+            resumed_hashes.push(resumed.apply(d).unwrap().state_hash);
+        }
+        prop_assert_eq!(
+            &resumed_hashes,
+            &reference_hashes[ck_slot as usize..],
+            "per-slot state hashes diverged after resuming at slot {}",
+            ck_slot
+        );
+        let report = resumed.into_report(fresh.name());
+        prop_assert_eq!(
+            report.digest(),
+            reference.digest(),
+            "resumed digest diverged at checkpoint slot {}",
+            ck_slot
+        );
     }
 
     /// The fleet's active set stays strictly sorted through arbitrary

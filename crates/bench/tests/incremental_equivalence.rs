@@ -1,84 +1,79 @@
 //! The incremental-pipeline equivalence contract (tier-1 gate).
 //!
-//! [`IncrementalConfig::Auto`] maintains the engine's observation
-//! structures across slots from the fleet's churn delta;
-//! [`IncrementalConfig::Off`] rebuilds them from scratch every slot. The
-//! contract is that the two modes produce **bit-identical**
-//! [`SimulationReport`]s — same digest — for every scenario, policy,
-//! seed and worker-thread count. These tests pin that contract over the
-//! scenario-preset registry and over proptest-generated churn-heavy
-//! fleets at thread counts {1, 2, 8}.
+//! The engine maintains the policy's inputs — the observed utilization
+//! windows and the traffic CSR — across slots from the fleet's churn
+//! delta. The contract is that on every slot they equal a from-scratch
+//! rebuild from the fleet, which
+//! [`assert_observation_matches_rebuild`](geoplace_dcsim::testkit::assert_observation_matches_rebuild)
+//! checks. These tests run that check on every slot of the
+//! scenario-preset registry and of proptest-generated churn-heavy
+//! fleets, at thread counts {1, 2, 8}.
 
-use geoplace_bench::scenario::{quick_matrix_config, run_policy, PolicyKind};
-use geoplace_dcsim::config::{IncrementalConfig, ScenarioConfig};
+mod common;
+
+use common::run_checked;
+use geoplace_bench::scenario::{
+    golden_digests_path, parse_golden_file, quick_matrix_config, PolicyKind,
+};
+use geoplace_dcsim::config::ScenarioConfig;
 use geoplace_dcsim::metrics::SimulationReport;
 use geoplace_types::Parallelism;
 use proptest::prelude::*;
 
-fn run_mode(
-    config: &ScenarioConfig,
-    kind: PolicyKind,
-    mode: IncrementalConfig,
-    threads: usize,
-) -> SimulationReport {
+fn run_at(config: &ScenarioConfig, kind: PolicyKind, threads: usize) -> SimulationReport {
     let mut config = config.clone();
-    config.incremental = mode;
     config.parallelism = Parallelism::Threads(threads);
-    run_policy(&config, kind)
+    run_checked(&config, kind)
 }
 
-/// Every scenario preset × every policy: incremental ≡ from-scratch at
-/// the quick-matrix scale (the same cells the golden matrix pins).
+/// Every scenario preset × every policy at seed 41, the quick-matrix
+/// seed the stepper suite does not drive: every slot matches the
+/// rebuild, and every report its committed golden digest.
 #[test]
 fn incremental_matches_from_scratch_across_all_presets() {
+    let content = std::fs::read_to_string(golden_digests_path()).expect("committed goldens");
+    let goldens = parse_golden_file(&content);
     for spec in geoplace_scenarios::registry() {
-        let config = quick_matrix_config(&spec, 42);
+        let config = quick_matrix_config(&spec, 41);
         for policy in PolicyKind::ALL {
-            let auto = run_mode(&config, policy, IncrementalConfig::Auto, 1);
-            let off = run_mode(&config, policy, IncrementalConfig::Off, 1);
+            let key = format!("{}\t{}\t41", spec.name, policy.name());
             assert_eq!(
-                auto.digest(),
-                off.digest(),
-                "{} / {}: incremental diverged from from-scratch",
-                spec.name,
-                policy.name()
+                Some(&run_at(&config, policy, 1).digest()),
+                goldens.get(&key),
+                "{key}"
             );
-            assert_eq!(auto, off, "{} / {}", spec.name, policy.name());
         }
     }
 }
 
 /// The churn-storm preset — the heaviest structural-delta load — at
-/// worker-thread counts {1, 2, 8}: every (mode, threads) cell digests
-/// identically.
+/// worker-thread counts {1, 2, 8}: every slot matches the rebuild and
+/// every thread count digests identically.
 #[test]
 fn incremental_is_thread_invariant_under_churn_storm() {
     let spec = geoplace_scenarios::presets::named("churn_storm").expect("registered preset");
     let config = quick_matrix_config(&spec, 42);
     for policy in [PolicyKind::Proposed, PolicyKind::NetAware] {
-        let reference = run_mode(&config, policy, IncrementalConfig::Off, 1);
-        for threads in [1usize, 2, 8] {
-            for mode in [IncrementalConfig::Auto, IncrementalConfig::Off] {
-                let report = run_mode(&config, policy, mode, threads);
-                assert_eq!(
-                    report.digest(),
-                    reference.digest(),
-                    "{}: mode {mode:?} at {threads} threads diverged",
-                    policy.name()
-                );
-            }
+        let reference = run_at(&config, policy, 1);
+        for threads in [2usize, 8] {
+            assert_eq!(
+                run_at(&config, policy, threads).digest(),
+                reference.digest(),
+                "{}: {threads} threads diverged",
+                policy.name()
+            );
         }
     }
 }
 
 proptest! {
-    // Each case runs 6 whole simulations; keep the case count tight —
+    // Each case runs 3 whole simulations; keep the case count tight —
     // the deterministic preset sweep above covers breadth, this covers
     // arbitrary churn shapes.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Churn-heavy random fleets: incremental ≡ from-scratch digests at
-    /// thread counts {1, 2, 8}.
+    /// Churn-heavy random fleets: every slot matches the rebuild, and
+    /// the digests agree at thread counts {1, 2, 8}.
     #[test]
     fn incremental_equivalence_on_random_churn_fleets(
         seed in 0u64..1000,
@@ -93,13 +88,12 @@ proptest! {
         config.fleet.arrivals.initial_groups = initial_groups;
         config.fleet.arrivals.groups_per_slot = groups_per_slot;
         config.fleet.arrivals.mean_lifetime_slots = mean_lifetime;
-        let reference = run_mode(&config, PolicyKind::Proposed, IncrementalConfig::Off, 1);
-        for threads in [1usize, 2, 8] {
-            let auto = run_mode(&config, PolicyKind::Proposed, IncrementalConfig::Auto, threads);
+        let reference = run_at(&config, PolicyKind::Proposed, 1);
+        for threads in [2usize, 8] {
             prop_assert_eq!(
-                auto.digest(),
+                run_at(&config, PolicyKind::Proposed, threads).digest(),
                 reference.digest(),
-                "incremental at {} threads diverged (seed {})",
+                "{} threads diverged (seed {})",
                 threads,
                 seed
             );

@@ -7,7 +7,10 @@
 //! different schedules must land on the identical `Totals` (cost,
 //! energy, QoS) and identical hourly series.
 
-use geoplace_bench::scenario::{run_proposed_with, stress_proposed_config};
+mod common;
+
+use common::run_checked;
+use geoplace_bench::scenario::{run_proposed_with, PolicyKind};
 use geoplace_bench::Scale;
 use geoplace_core::ProposedConfig;
 use geoplace_dcsim::metrics::SimulationReport;
@@ -20,7 +23,7 @@ fn day_run(seed: u64, sparse: bool, threads: usize) -> SimulationReport {
     config.horizon_slots = 24;
     config.parallelism = Parallelism::Threads(threads);
     if sparse {
-        config.sparsity = config.sparsity.sparse();
+        config.sparsity.dense_crossover = 0;
     }
     let proposed = ProposedConfig {
         parallelism: Parallelism::Threads(threads),
@@ -76,14 +79,13 @@ fn day_scale_sparse_is_thread_count_invariant() {
 fn stress_scale_is_thread_count_invariant() {
     // Two slots of the ≈10k-VM scenario — enough to cross every parallel
     // kernel (sparse CSR build, grid force layout, per-DC fan-out) at
-    // real fleet size without the full-day runtime.
+    // real fleet size without the full-day runtime. Both slots check
+    // the incrementally maintained observation against a rebuild.
     let run = |threads: usize| {
         let mut config = Scale::Stress.config(42);
         config.horizon_slots = 2;
         config.parallelism = Parallelism::Threads(threads);
-        let mut proposed = stress_proposed_config();
-        proposed.parallelism = Parallelism::Threads(threads);
-        run_proposed_with(&config, proposed)
+        run_checked(&config, PolicyKind::Proposed)
     };
     let reference = run(1);
     for threads in [2usize, 8] {

@@ -9,28 +9,24 @@
 //!   and exposes any systematic bias of the sparse path.
 //! * same-seed bitwise determinism of the sparse path.
 //! * the ≈10,000-VM stress scenario completing a full one-day horizon.
+//! * the `diag_pipeline_agreement` binary rejecting the flags it would
+//!   otherwise ignore.
 
-use geoplace_bench::scenario::{run_proposed_with, stress_proposed_config};
+use geoplace_bench::scenario::{dense_sparse_pair, run_policy, run_proposed_with, PolicyKind};
 use geoplace_bench::Scale;
 use geoplace_core::ProposedConfig;
 use geoplace_dcsim::metrics::Totals;
+use std::process::Command;
 
-fn paired_run(seed: u64, horizon: u32, sparse: bool) -> Totals {
-    let mut config = Scale::Repro.config(seed);
-    config.horizon_slots = horizon;
-    config.sparsity = if sparse {
-        let mut sparsity = config.sparsity.sparse();
-        // Repro-fleet tuning: cover the whole fleet in the candidate
-        // screen so only the far-field approximation differs from dense.
-        sparsity.top_k = 64;
-        sparsity.candidates_per_vm = 512;
-        sparsity
-    } else {
-        config.sparsity.dense()
-    };
+/// The dense and the sparse side's totals over one repro world.
+fn paired_run(seed: u64, horizon: u32) -> (Totals, Totals) {
+    let mut base = Scale::Repro.config(seed);
+    base.horizon_slots = horizon;
+    let (dense, sparse) = dense_sparse_pair(&base);
     // Same ProposedConfig on both sides — the paired comparison isolates
     // the sparse correlation/layout approximation, nothing else.
-    run_proposed_with(&config, ProposedConfig::default()).totals()
+    let totals = |config| run_proposed_with(&config, ProposedConfig::default()).totals();
+    (totals(dense), totals(sparse))
 }
 
 #[test]
@@ -40,13 +36,12 @@ fn dense_and_sparse_pipelines_agree_within_two_percent() {
     let mut dense = (0.0f64, 0.0f64, 0.0f64);
     let mut sparse = (0.0f64, 0.0f64, 0.0f64);
     for &seed in &SEEDS {
-        let d = paired_run(seed, HORIZON, false);
+        let (d, s) = paired_run(seed, HORIZON);
         dense = (
             dense.0 + d.cost_eur,
             dense.1 + d.energy_gj,
             dense.2 + d.mean_response_s,
         );
-        let s = paired_run(seed, HORIZON, true);
         sparse = (
             sparse.0 + s.cost_eur,
             sparse.1 + s.energy_gj,
@@ -82,8 +77,8 @@ fn sparse_pipeline_is_bitwise_deterministic() {
     let run = || {
         let mut config = Scale::Bench.config(13);
         config.horizon_slots = 6;
-        config.sparsity = config.sparsity.sparse();
-        run_proposed_with(&config, stress_proposed_config())
+        config.sparsity.dense_crossover = 0;
+        run_policy(&config, PolicyKind::Proposed)
     };
     let first = run();
     let second = run();
@@ -94,7 +89,7 @@ fn sparse_pipeline_is_bitwise_deterministic() {
 fn stress_scenario_completes_one_day() {
     let config = Scale::Stress.config(42);
     assert_eq!(config.horizon_slots, 24, "stress horizon is one day");
-    let report = run_proposed_with(&config, stress_proposed_config());
+    let report = run_policy(&config, PolicyKind::Proposed);
     assert_eq!(report.hourly.len(), 24, "must finish every slot");
     let totals = report.totals();
     assert!(
@@ -108,4 +103,23 @@ fn stress_scenario_completes_one_day() {
         peak_vms >= 8_000,
         "stress run must actually be stress-scale, peaked at {peak_vms} VMs"
     );
+}
+
+#[test]
+fn diag_pipeline_agreement_rejects_the_flags_it_would_ignore() {
+    for flags in [
+        &["--bench"][..],
+        &["--paper"],
+        &["--stress"],
+        &["--seed", "7"],
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_diag_pipeline_agreement"))
+            .args(flags)
+            .output()
+            .expect("spawn diag_pipeline_agreement");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(stderr.contains(flags[0]), "{flags:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{flags:?} ran before exiting");
+    }
 }

@@ -6,45 +6,22 @@
 //! (`tests/golden/digests.tsv`), so `run ≡ stepper` holds transitively
 //! through the existing golden-report test without re-running the
 //! engine here; the session sweep and the proptest close the triangle
-//! directly. Thread-count and incremental-mode invariance is asserted
-//! through the stepper path too — the executor contract says none of it
-//! may move a digest.
+//! directly. Thread-count invariance is asserted through the stepper
+//! path too — the executor contract says it may not move a digest —
+//! and every stepper-driven slot checks its observation against a
+//! from-scratch rebuild.
 
-use geoplace_baselines::{EnerAwarePolicy, NetAwarePolicy, PriAwarePolicy};
+mod common;
+
+use common::run_checked;
 use geoplace_bench::json::Value;
 use geoplace_bench::scenario::{
-    golden_digests_path, parse_golden_file, proposed_config_for, quick_matrix_config, run_policy,
-    PolicyKind,
+    golden_digests_path, parse_golden_file, quick_matrix_config, run_policy, PolicyKind,
 };
 use geoplace_bench::serve::Session;
-use geoplace_core::ProposedPolicy;
-use geoplace_dcsim::config::{IncrementalConfig, ScenarioConfig};
-use geoplace_dcsim::engine::Scenario;
-use geoplace_dcsim::policy::GlobalPolicy;
-use geoplace_dcsim::stepper::SlotStepper;
+use geoplace_dcsim::config::ScenarioConfig;
 use geoplace_types::Parallelism;
-use geoplace_workload::source::SyntheticSource;
 use proptest::prelude::*;
-
-/// Drives the stepper by hand, exactly as `Simulator::run` does.
-fn stepper_digest(config: &ScenarioConfig, kind: PolicyKind) -> String {
-    let mut policy: Box<dyn GlobalPolicy> = match kind {
-        PolicyKind::Proposed => Box::new(ProposedPolicy::new(proposed_config_for(config))),
-        PolicyKind::PriAware => Box::new(PriAwarePolicy::new()),
-        PolicyKind::EnerAware => Box::new(EnerAwarePolicy::new()),
-        PolicyKind::NetAware => Box::new(NetAwarePolicy::new()),
-    };
-    let mut stepper = SlotStepper::new(Scenario::build(config).expect("valid config"));
-    let mut source = SyntheticSource;
-    while !stepper.is_done() {
-        stepper
-            .advance_world(&mut source)
-            .expect("synthetic advance");
-        let decision = policy.decide(&stepper.observe());
-        stepper.apply(decision).expect("policy decisions are valid");
-    }
-    stepper.into_report(policy.name()).digest()
-}
 
 /// Drives an in-process serve session over the same world with scripted
 /// protocol lines, returning the shutdown response's digest.
@@ -88,7 +65,7 @@ fn stepper_reproduces_every_golden_cell_at_seed_42() {
                 .get(&key)
                 .unwrap_or_else(|| panic!("no golden {key}"));
             assert_eq!(
-                &stepper_digest(&config, kind),
+                &run_checked(&config, kind).digest(),
                 expected,
                 "stepper drifted from golden {key}"
             );
@@ -138,16 +115,13 @@ fn stepper_is_thread_and_incremental_invariant() {
         .get("churn_storm\tProposed\t41")
         .expect("golden row");
     for threads in [1usize, 2, 8] {
-        for mode in [IncrementalConfig::Auto, IncrementalConfig::Off] {
-            let mut config = quick_matrix_config(&spec, 41);
-            config.parallelism = Parallelism::Threads(threads);
-            config.incremental = mode;
-            assert_eq!(
-                &stepper_digest(&config, PolicyKind::Proposed),
-                expected,
-                "threads={threads} mode={mode:?} moved the digest"
-            );
-        }
+        let mut config = quick_matrix_config(&spec, 41);
+        config.parallelism = Parallelism::Threads(threads);
+        assert_eq!(
+            &run_checked(&config, PolicyKind::Proposed).digest(),
+            expected,
+            "threads={threads} moved the digest"
+        );
     }
 }
 
@@ -161,7 +135,6 @@ proptest! {
         preset in 0usize..6,
         policy in 0usize..4,
         thread_pick in 0usize..3,
-        incremental in any::<bool>(),
         slots in 2u32..4,
     ) {
         let registry = geoplace_scenarios::registry();
@@ -170,13 +143,8 @@ proptest! {
         let mut config = quick_matrix_config(spec, seed);
         config.horizon_slots = slots;
         config.parallelism = Parallelism::Threads([1, 2, 8][thread_pick]);
-        config.incremental = if incremental {
-            IncrementalConfig::Auto
-        } else {
-            IncrementalConfig::Off
-        };
         let via_run = run_policy(&config, kind).digest();
-        prop_assert_eq!(&stepper_digest(&config, kind), &via_run);
+        prop_assert_eq!(&run_checked(&config, kind).digest(), &via_run);
         prop_assert_eq!(&session_digest(&config, kind), &via_run);
     }
 }

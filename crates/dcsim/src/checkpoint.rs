@@ -23,7 +23,7 @@
 //! * A checkpoint is only taken at a slot boundary; restoring it and
 //!   re-running the tail reproduces the uninterrupted run's report — and
 //!   its per-slot [`state_hash`](crate::stepper::SlotMetrics::state_hash)
-//!   stream — bit for bit, in either engine mode at any thread count.
+//!   stream — bit for bit, at any thread count.
 //! * `decode(encode(ck))` then `encode` again is byte-identical.
 //! * Every decode error names the offending section and byte offset.
 

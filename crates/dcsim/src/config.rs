@@ -8,32 +8,6 @@ use geoplace_workload::fleet::FleetConfig;
 use geoplace_workload::sparsity::SparsityConfig;
 use serde::{Deserialize, Serialize};
 
-/// Whether the engine's per-slot observation pipeline (utilization
-/// windows, traffic-graph CSR, arena, scratch vectors) is maintained
-/// incrementally across slots from the fleet's churn delta, or rebuilt
-/// from scratch every slot.
-///
-/// Both settings produce **bit-identical**
-/// [`SimulationReport`](crate::metrics::SimulationReport)s (equal
-/// digests) — the incremental path exists purely to cut the steady-state
-/// slot-step cost, and the from-scratch path stays as the reference the
-/// equivalence tests pin the contract against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum IncrementalConfig {
-    /// Maintain the observation structures incrementally (default).
-    #[default]
-    Auto,
-    /// Rebuild every per-slot structure from scratch (reference mode).
-    Off,
-}
-
-impl IncrementalConfig {
-    /// True when the incremental path is selected.
-    pub fn is_incremental(self) -> bool {
-        matches!(self, IncrementalConfig::Auto)
-    }
-}
-
 /// Static description of one data center.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DcConfig {
@@ -125,9 +99,6 @@ pub struct ScenarioConfig {
     /// price spikes, PV droughts) the engine applies during the run;
     /// empty for the paper's stationary regime.
     pub timeline: EventTimeline,
-    /// Incremental vs from-scratch maintenance of the per-slot
-    /// observation pipeline; both produce bit-identical reports.
-    pub incremental: IncrementalConfig,
 }
 
 impl ScenarioConfig {
@@ -154,15 +125,14 @@ impl ScenarioConfig {
             link_scale: 1.0,
             parallelism: Parallelism::Auto,
             timeline: EventTimeline::default(),
-            incremental: IncrementalConfig::default(),
         }
     }
 
     /// The scaling stress setup: the same three sites grown ~8× to
     /// ≈10,000 concurrently active VMs over one simulated day. Only
-    /// tractable through the sparse slot pipeline (which
-    /// [`SparsityMode::Auto`](geoplace_workload::sparsity::SparsityMode)
-    /// selects at this fleet size).
+    /// tractable through the sparse slot pipeline, which the default
+    /// [`dense_crossover`](geoplace_workload::sparsity::SparsityConfig::dense_crossover)
+    /// selects at this fleet size.
     pub fn stress(seed: u64) -> Self {
         let mut config = ScenarioConfig::paper(seed);
         for dc in &mut config.dcs {
@@ -184,7 +154,7 @@ impl ScenarioConfig {
         config
     }
 
-    /// A laptop-scale variant for tests and Criterion benches: the same
+    /// A laptop-scale variant for tests and quick runs: the same
     /// three sites at 1/10 fleet size, one simulated day, ~100 VMs.
     pub fn scaled(seed: u64) -> Self {
         let mut config = ScenarioConfig::paper(seed);

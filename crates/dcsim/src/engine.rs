@@ -157,16 +157,11 @@ impl Simulator {
     /// A thin batch loop over the [`SlotStepper`] lifecycle with the
     /// synthetic fleet as the delta source — advance, observe, decide,
     /// apply, next slot. The per-slot observation structures live in the
-    /// stepper's persistent scratch; under
-    /// [`Auto`](crate::config::IncrementalConfig::Auto) they are
-    /// maintained across slots from the
-    /// [`FleetDelta`](geoplace_workload::fleet::FleetDelta) the fleet
+    /// stepper's persistent scratch and are maintained across slots from
+    /// the [`FleetDelta`](geoplace_workload::fleet::FleetDelta) the fleet
     /// reports (arrivals connected, departures disconnected, last slot's
-    /// actual windows promoted to this slot's observation), under
-    /// [`Off`](crate::config::IncrementalConfig::Off) they are rebuilt
-    /// from scratch every slot. Both modes produce bit-identical reports,
-    /// and a hand-driven stepper produces a report bit-identical to this
-    /// loop.
+    /// actual windows promoted to this slot's observation). A
+    /// hand-driven stepper produces a report bit-identical to this loop.
     ///
     /// # Panics
     ///
@@ -541,19 +536,19 @@ mod tests {
     }
 
     #[test]
-    fn incremental_and_from_scratch_reports_are_bit_identical() {
-        use crate::config::IncrementalConfig;
-        let run = |mode: IncrementalConfig| {
-            let mut config = tiny_config();
-            config.horizon_slots = 6;
-            config.incremental = mode;
-            let scenario = Scenario::build(&config).unwrap();
-            Simulator::new(scenario).run(&mut RoundRobinDcs)
-        };
-        let auto = run(IncrementalConfig::Auto);
-        let off = run(IncrementalConfig::Off);
-        assert_eq!(auto, off);
-        assert_eq!(auto.digest(), off.digest());
+    fn incremental_observations_match_a_from_scratch_rebuild() {
+        use crate::testkit::assert_observation_matches_rebuild;
+        use geoplace_workload::source::SyntheticSource;
+        let mut config = tiny_config();
+        config.horizon_slots = 6;
+        let mut stepper = Simulator::new(Scenario::build(&config).unwrap()).into_stepper();
+        let mut policy = RoundRobinDcs;
+        while !stepper.is_done() {
+            stepper.advance_world(&mut SyntheticSource).unwrap();
+            assert_observation_matches_rebuild(&stepper);
+            let decision = policy.decide(&stepper.observe());
+            stepper.apply(decision).unwrap();
+        }
     }
 
     #[test]

@@ -80,28 +80,26 @@ impl SlotStepper {
         let mut delta = FleetDelta::default();
         if slot_index > 0 {
             delta = source.advance(&mut self.scenario.fleet, slot)?;
-            if self.incremental {
-                // Last slot's *actual* windows are exactly this slot's
-                // observation for every surviving VM: swap the buffers
-                // and reconcile the churn — only arrivals' rows are
-                // synthesized, and only the structural edge delta is
-                // applied to the traffic CSR.
-                std::mem::swap(&mut self.scratch.observed, &mut self.scratch.actual);
-                let fleet = &self.scenario.fleet;
-                let obs_slot = slot.prev().expect("slot_index > 0");
-                self.scratch.observed.reconcile(fleet.active(), |vm, row| {
-                    fleet
-                        .vm(vm)
-                        .expect("active VM")
-                        .trace()
-                        .window_into(obs_slot, row)
-                });
-                self.scratch.traffic.apply_delta(
-                    &delta.departed,
-                    &delta.connected,
-                    fleet.data_correlation(),
-                );
-            }
+            // Last slot's *actual* windows are exactly this slot's
+            // observation for every surviving VM: swap the buffers and
+            // reconcile the churn — only arrivals' rows are synthesized,
+            // and only the structural edge delta is applied to the
+            // traffic CSR.
+            std::mem::swap(&mut self.scratch.observed, &mut self.scratch.actual);
+            let fleet = &self.scenario.fleet;
+            let obs_slot = slot.prev().expect("slot_index > 0");
+            self.scratch.observed.reconcile(fleet.active(), |vm, row| {
+                fleet
+                    .vm(vm)
+                    .expect("active VM")
+                    .trace()
+                    .window_into(obs_slot, row)
+            });
+            self.scratch.traffic.apply_delta(
+                &delta.departed,
+                &delta.connected,
+                fleet.data_correlation(),
+            );
         }
         let fleet = &self.scenario.fleet;
         // `assignment.retain` below binary-searches the active list;
@@ -121,14 +119,7 @@ impl SlotStepper {
             self.scratch
                 .observed
                 .fill(fleet.active(), TICKS_PER_SLOT, |_, _| {});
-            if self.incremental {
-                self.scratch.traffic.rebuild(fleet.data_correlation());
-            }
-        } else if !self.incremental {
-            fleet.windows_into(
-                slot.prev().expect("slot_index > 0"),
-                &mut self.scratch.observed,
-            );
+            self.scratch.traffic.rebuild(fleet.data_correlation());
         }
         fleet.windows_into(slot, &mut self.scratch.actual);
         self.scratch.arena.refill(self.scratch.observed.ids());
@@ -152,18 +143,9 @@ impl SlotStepper {
                 self.exec,
             )
         });
-        if self.incremental {
-            self.scratch
-                .traffic
-                .emit(fleet.data_correlation(), &self.scratch.arena);
-            self.fresh_traffic = None;
-        } else {
-            self.fresh_traffic = Some(
-                fleet
-                    .data_correlation()
-                    .traffic_graph_exec(&self.scratch.arena, self.exec),
-            );
-        }
+        self.scratch
+            .traffic
+            .emit(fleet.data_correlation(), &self.scratch.arena);
         self.scratch.vm_cores.clear();
         self.scratch.vm_memory.clear();
         for &id in self.scratch.observed.ids() {

@@ -54,7 +54,7 @@ use geoplace_types::time::{TimeSlot, TICKS_PER_SLOT};
 use geoplace_types::units::{Gigabytes, Seconds};
 use geoplace_types::{DcId, Error, Exec, Result, VmArena, VmId};
 use geoplace_workload::cpucorr::CpuCorrelationMatrix;
-use geoplace_workload::graph::{TrafficGraph, TrafficGraphCache};
+use geoplace_workload::graph::TrafficGraphCache;
 use geoplace_workload::window::UtilizationWindows;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -179,7 +179,6 @@ pub struct SlotStepper {
     pub(crate) rng: StdRng,
     pub(crate) green: GreenController,
     pub(crate) exec: Exec,
-    pub(crate) incremental: bool,
     /// Nominal (pre-derate) server count per DC.
     pub(crate) server_counts: Vec<u32>,
     /// DVFS depth per DC: validation and rollback must use the hosting
@@ -199,9 +198,6 @@ pub struct SlotStepper {
     pub(crate) scratch: EngineScratch,
     /// The advanced slot's CPU correlation (degenerate at slot 0).
     pub(crate) cpu_corr: Option<CpuCorrelationMatrix>,
-    /// The from-scratch traffic graph when the incremental CSR cache is
-    /// off (the cache's own emitted graph is borrowed otherwise).
-    pub(crate) fresh_traffic: Option<TrafficGraph>,
     /// The advanced slot's per-DC info blocks.
     pub(crate) dc_infos: Vec<DcInfo>,
     /// The accumulating report; the policy name is stamped by
@@ -232,7 +228,6 @@ impl SlotStepper {
     pub(crate) fn from_parts(scenario: Scenario, rng: StdRng, green: GreenController) -> Self {
         let n_dcs = scenario.dcs.len();
         let exec = Exec::new(scenario.config.parallelism);
-        let incremental = scenario.config.incremental.is_incremental();
         let server_counts: Vec<u32> = scenario.dcs.iter().map(|d| d.config.servers).collect();
         let dvfs_levels: Vec<usize> = scenario
             .dcs
@@ -255,7 +250,6 @@ impl SlotStepper {
             rng,
             green,
             exec,
-            incremental,
             server_counts,
             dvfs_levels,
             budget,
@@ -267,7 +261,6 @@ impl SlotStepper {
             assignment: BTreeMap::new(),
             scratch: EngineScratch::new(),
             cpu_corr: None,
-            fresh_traffic: None,
             dc_infos: Vec::new(),
             report: SimulationReport::new("", n_dcs),
             next_slot: 0,

@@ -21,10 +21,6 @@ impl SlotStepper {
             self.awaiting_decision(),
             "observe called with no slot awaiting a decision — advance_world first"
         );
-        let traffic = match &self.fresh_traffic {
-            Some(graph) => graph,
-            None => self.scratch.traffic.graph(),
-        };
         SystemSnapshot {
             slot: self.current_slot(),
             windows: &self.scratch.observed,
@@ -35,7 +31,7 @@ impl SlotStepper {
                 .cpu_corr
                 .as_ref()
                 .expect("correlation is computed by every advance"),
-            traffic,
+            traffic: self.scratch.traffic.graph(),
             data: self.scenario.fleet.data_correlation(),
             prev_dc: &self.assignment,
             dcs: &self.dc_infos,

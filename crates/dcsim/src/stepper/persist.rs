@@ -43,10 +43,9 @@ impl SlotStepper {
     /// Cheap deterministic hash of the live engine state at the current
     /// boundary: the next slot index, the engine RNG, the standing
     /// assignment, per-DC battery/ledger/forecaster state and the fleet
-    /// position. O(assignment + fleet history) per call; independent of
-    /// thread count and of the incremental/from-scratch engine mode, so
-    /// a resumed run converging on the uninterrupted one is visible
-    /// hash-by-hash (this is the value stamped into
+    /// position. O(assignment + fleet history) per call and independent
+    /// of thread count, so a resumed run converging on the uninterrupted
+    /// one is visible hash-by-hash (this is the value stamped into
     /// [`SlotMetrics::state_hash`](super::SlotMetrics::state_hash)).
     pub fn state_hash(&self) -> u64 {
         let mut h = Fnv64::new();
@@ -302,25 +301,22 @@ impl SlotStepper {
         self.next_slot = ck.slot;
         self.phase = Phase::AwaitingAdvance;
         self.cpu_corr = None;
-        self.fresh_traffic = None;
         self.dc_infos = Vec::new();
 
-        // Re-materialize the previous slot's *actual* windows: under the
-        // incremental mode the next advance swaps them into the observed
-        // buffer, so they must hold exactly what the uninterrupted run
-        // left there (the traces are pure functions of (VM, slot), so
-        // this is bit-identical). The traffic CSR is rebuilt from the
-        // restored pair set and then delta-maintained as usual.
+        // Re-materialize the previous slot's *actual* windows: the next
+        // advance swaps them into the observed buffer, so they must hold
+        // exactly what the uninterrupted run left there (the traces are
+        // pure functions of (VM, slot), so this is bit-identical). The
+        // traffic CSR is rebuilt from the restored pair set and then
+        // delta-maintained as usual.
         if ck.slot > 0 {
             self.scenario
                 .fleet
                 .windows_into(TimeSlot(ck.slot - 1), &mut self.scratch.actual);
         }
-        if self.incremental {
-            self.scratch
-                .traffic
-                .rebuild(self.scenario.fleet.data_correlation());
-        }
+        self.scratch
+            .traffic
+            .rebuild(self.scenario.fleet.data_correlation());
         Ok(())
     }
 }
@@ -330,7 +326,7 @@ mod tests {
     use super::*;
     use crate::engine::Scenario;
     use crate::policy::GlobalPolicy;
-    use crate::testkit::{tiny_config, RoundRobinDcs};
+    use crate::testkit::{assert_observation_matches_rebuild, tiny_config, RoundRobinDcs};
     use geoplace_workload::source::SyntheticSource;
 
     fn run_to(slot: u32) -> SlotStepper {
@@ -339,6 +335,7 @@ mod tests {
         let mut source = SyntheticSource;
         for _ in 0..slot {
             stepper.advance_world(&mut source).unwrap();
+            assert_observation_matches_rebuild(&stepper);
             let decision = policy.decide(&stepper.observe());
             stepper.apply(decision).unwrap();
         }
@@ -351,6 +348,7 @@ mod tests {
         let mut hashes = Vec::new();
         while !stepper.is_done() {
             stepper.advance_world(&mut source).unwrap();
+            assert_observation_matches_rebuild(&stepper);
             let decision = policy.decide(&stepper.observe());
             hashes.push(stepper.apply(decision).unwrap().state_hash);
         }
@@ -412,26 +410,23 @@ mod tests {
     }
 
     #[test]
-    fn state_hash_is_mode_and_thread_invariant() {
-        use crate::config::IncrementalConfig;
+    fn state_hash_is_thread_invariant() {
         use geoplace_types::Parallelism;
-        let run = |mode, threads| {
+        let run = |threads| {
             let mut config = tiny_config();
-            config.incremental = mode;
             config.parallelism = Parallelism::Threads(threads);
             let mut stepper = SlotStepper::new(Scenario::build(&config).unwrap());
             let mut policy = RoundRobinDcs;
             let mut hashes = Vec::new();
             while !stepper.is_done() {
                 stepper.advance_world(&mut SyntheticSource).unwrap();
+                assert_observation_matches_rebuild(&stepper);
                 let decision = policy.decide(&stepper.observe());
                 hashes.push(stepper.apply(decision).unwrap().state_hash);
             }
             hashes
         };
-        let reference = run(IncrementalConfig::Auto, 1);
-        assert_eq!(run(IncrementalConfig::Off, 1), reference);
-        assert_eq!(run(IncrementalConfig::Auto, 8), reference);
+        assert_eq!(run(8), run(1));
     }
 
     #[test]

@@ -6,13 +6,57 @@
 //! smartness of a real policy getting in the way. They used to be
 //! copy-pasted inline in `engine.rs` tests; shared here so the engine,
 //! stepper and service suites exercise the *same* pathological drivers.
+//!
+//! [`assert_observation_matches_rebuild`] is the check those suites run
+//! on every slot: the stepper maintains the policy's inputs
+//! incrementally, and the check rebuilds them from scratch.
 
 use crate::decision::{PlacementDecision, ServerAssignment};
 use crate::policy::GlobalPolicy;
 use crate::power::{FreqLevel, OperatingPoint, ServerPowerModel};
 use crate::snapshot::SystemSnapshot;
+use crate::stepper::SlotStepper;
+use geoplace_types::time::TICKS_PER_SLOT;
 use geoplace_types::DcId;
 use geoplace_types::VmId;
+use geoplace_workload::window::UtilizationWindows;
+
+/// Asserts that the advanced slot's observation equals a from-scratch
+/// rebuild from the fleet. The stepper carries the utilization windows
+/// and the traffic CSR across slots and patches them with each churn
+/// delta; rebuilt from the fleet alone they must come out the same:
+///
+/// * the observed windows are `fleet.windows(prev_slot)`, or all zeros
+///   at slot 0;
+/// * the traffic graph is `fleet.data_correlation().traffic_graph(arena)`.
+///
+/// Call it after any [`SlotStepper::advance_world`], the first one
+/// after a restore included.
+///
+/// # Panics
+///
+/// Panics naming the slot and the structure that differs, or when no
+/// slot is awaiting a decision.
+pub fn assert_observation_matches_rebuild(stepper: &SlotStepper) {
+    let snapshot = stepper.observe();
+    let fleet = &stepper.scenario().fleet;
+    let slot = snapshot.slot;
+    let windows = match slot.prev() {
+        Some(prev) => fleet.windows(prev),
+        None => UtilizationWindows::zeros(fleet.active(), TICKS_PER_SLOT),
+    };
+    // `assert!`, not `assert_eq!`: a stress-scale mismatch would print
+    // millions of samples.
+    assert!(
+        *snapshot.windows == windows,
+        "{slot}: the observed windows differ from a rebuild"
+    );
+    let traffic = fleet.data_correlation().traffic_graph(snapshot.arena);
+    assert!(
+        *snapshot.traffic == traffic,
+        "{slot}: the traffic graph differs from a rebuild"
+    );
+}
 
 /// A trivial policy: every VM onto DC 0, round-robin across servers,
 /// top frequency.

@@ -74,7 +74,7 @@ impl Parallelism {
         match self {
             Parallelism::Serial => 1,
             Parallelism::Threads(n) => n.max(1),
-            // audit:allow(D2): core count picks the worker pool size only; reports are bit-identical at any thread count (ci_determinism proves it)
+            // audit:allow(D2): core count picks the worker pool size only; reports are bit-identical at any thread count (parallel_determinism.rs proves it)
             Parallelism::Auto => std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),

@@ -788,10 +788,11 @@ mod tests {
     #[test]
     fn degenerate_matrix_reads_one_everywhere_in_any_configuration() {
         let ids: Vec<VmId> = (0..9u32).map(VmId).collect();
-        for sparsity in [
-            SparsityConfig::default().dense(),
-            SparsityConfig::default().sparse(),
-        ] {
+        for dense_crossover in [usize::MAX, 0] {
+            let sparsity = SparsityConfig {
+                dense_crossover,
+                ..SparsityConfig::default()
+            };
             let matrix = CpuCorrelationMatrix::degenerate(&ids, &sparsity);
             assert_eq!(matrix.len(), 9);
             assert!(

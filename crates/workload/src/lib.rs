@@ -53,7 +53,7 @@ pub use fleet::{
 pub use graph::{TrafficEdge, TrafficGraph};
 pub use mix::{FleetMix, VmClass};
 pub use source::{DeltaSource, ExternalDeltaSource, SyntheticSource};
-pub use sparsity::{SparsityConfig, SparsityMode};
+pub use sparsity::SparsityConfig;
 pub use trace::{TraceKind, TraceParams, VmTrace};
 pub use vm::{GroupId, VmSpec};
 pub use window::UtilizationWindows;

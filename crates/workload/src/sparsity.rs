@@ -15,26 +15,15 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Which representation the per-slot correlation structures use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SparsityMode {
-    /// Dense below [`SparsityConfig::dense_crossover`], sparse above.
-    #[default]
-    Auto,
-    /// Always the exact dense matrices (exactness tests, small fleets).
-    Dense,
-    /// Always the sparse top-k graphs (agreement tests, stress runs).
-    Sparse,
-}
-
 /// Knobs of the sparse approximation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SparsityConfig {
-    /// Representation selection policy.
-    pub mode: SparsityMode,
     /// Neighbors retained per VM in the sparse CPU-correlation graph.
     pub top_k: usize,
-    /// Fleet size below which [`SparsityMode::Auto`] stays dense.
+    /// Fleet size from which the pipeline goes sparse: dense below it,
+    /// sparse at or above it. `usize::MAX` forces the exact dense
+    /// matrices (exactness tests), `0` the sparse top-k graphs
+    /// (agreement tests at small fleet sizes).
     pub dense_crossover: usize,
     /// Resolution of the peak-time candidate screen: VMs are bucketed by
     /// the tick of their window peak; top-k candidates are drawn from the
@@ -50,7 +39,6 @@ pub struct SparsityConfig {
 impl Default for SparsityConfig {
     fn default() -> Self {
         SparsityConfig {
-            mode: SparsityMode::Auto,
             top_k: 32,
             dense_crossover: 512,
             peak_buckets: 36,
@@ -64,23 +52,7 @@ impl SparsityConfig {
     /// True when a fleet of `n` VMs should use the sparse representation
     /// under this configuration.
     pub fn use_sparse(&self, n: usize) -> bool {
-        match self.mode {
-            SparsityMode::Dense => false,
-            SparsityMode::Sparse => true,
-            SparsityMode::Auto => n >= self.dense_crossover,
-        }
-    }
-
-    /// A copy forced to [`SparsityMode::Dense`].
-    pub fn dense(mut self) -> Self {
-        self.mode = SparsityMode::Dense;
-        self
-    }
-
-    /// A copy forced to [`SparsityMode::Sparse`].
-    pub fn sparse(mut self) -> Self {
-        self.mode = SparsityMode::Sparse;
-        self
+        n >= self.dense_crossover
     }
 }
 
@@ -93,12 +65,5 @@ mod tests {
         let config = SparsityConfig::default();
         assert!(!config.use_sparse(config.dense_crossover - 1));
         assert!(config.use_sparse(config.dense_crossover));
-    }
-
-    #[test]
-    fn forced_modes_ignore_size() {
-        let config = SparsityConfig::default();
-        assert!(!config.dense().use_sparse(1_000_000));
-        assert!(config.sparse().use_sparse(2));
     }
 }
