@@ -24,38 +24,32 @@
 //! on a `shutdown` command or stdin EOF; malformed commands produce
 //! `{"ok":false,"error":...}` responses and never kill the session.
 
-use geoplace_bench::serve::Session;
-use geoplace_bench::{flag_from_args, CliArgs, PolicyKind};
+use geoplace_bench::scenario::exit_usage;
+use geoplace_bench::serve::{Session, FLAGS};
+use geoplace_bench::{CliArgs, PolicyKind};
 use std::io::{BufRead, Write};
 
 fn main() {
-    let cli = CliArgs::parse_strict(&[
-        ("--slots", true),
-        ("--policy", true),
-        ("--external", false),
-        ("--trace", true),
-        ("--checkpoint-every", true),
-        ("--checkpoint-dir", true),
-    ]);
+    let cli = CliArgs::parse(FLAGS);
+    let value = |name| cli.value::<String>(name).unwrap_or_else(|e| exit_usage(&e));
+    let count = |name| cli.value::<u32>(name).unwrap_or_else(|e| exit_usage(&e));
     let mut config = cli.config();
-    if let Some(slots) = flag_from_args::<u32>("--slots") {
+    if let Some(slots) = count("--slots") {
         config.horizon_slots = slots;
     }
-    let policy = match flag_from_args::<String>("--policy").as_deref() {
+    let policy = match value("--policy").as_deref() {
         None | Some("proposed") => PolicyKind::Proposed,
         Some("ener") => PolicyKind::EnerAware,
         Some("pri") => PolicyKind::PriAware,
         Some("net") => PolicyKind::NetAware,
-        Some(other) => {
-            eprintln!("error: --policy expects proposed, ener, pri or net, got {other:?}");
-            std::process::exit(2);
-        }
+        Some(other) => exit_usage(&format!(
+            "--policy expects proposed, ener, pri or net, got {other:?}"
+        )),
     };
-    let external = std::env::args().any(|a| a == "--external");
-    let trace = flag_from_args::<String>("--trace");
+    let external = cli.has("--external");
+    let trace = value("--trace");
     if external && trace.is_some() {
-        eprintln!("error: --trace and --external are mutually exclusive");
-        std::process::exit(2);
+        exit_usage("--trace and --external are mutually exclusive");
     }
 
     let session = match trace {
@@ -63,47 +57,23 @@ fn main() {
             // Strict by contract: a bad trace dies here, naming its
             // line, rather than three thousand slots into the session.
             Ok(rows) => Session::with_trace(&config, policy, rows),
-            Err(message) => {
-                eprintln!("error: {message}");
-                std::process::exit(2);
-            }
+            Err(message) => exit_usage(&message),
         },
         None => Session::new(&config, policy, external),
     };
-    let session = match session {
-        Ok(session) => session,
-        Err(message) => {
-            eprintln!("error: {message}");
-            std::process::exit(2);
-        }
-    };
+    let session = session.unwrap_or_else(|message| exit_usage(&message));
 
     // Auto-checkpointing: both flags together, N ≥ 1, and a usable
     // directory — all validated here, before the session starts, so a
     // misconfigured service dies loudly instead of silently never saving.
-    let every = flag_from_args::<u32>("--checkpoint-every");
-    let dir = flag_from_args::<String>("--checkpoint-dir");
-    let mut session = match (every, dir) {
+    let mut session = match (count("--checkpoint-every"), value("--checkpoint-dir")) {
         (None, None) => session,
-        (Some(_), None) => {
-            eprintln!("error: --checkpoint-every requires --checkpoint-dir PATH");
-            std::process::exit(2);
-        }
-        (None, Some(_)) => {
-            eprintln!("error: --checkpoint-dir requires --checkpoint-every N");
-            std::process::exit(2);
-        }
-        (Some(0), Some(_)) => {
-            eprintln!("error: --checkpoint-every must be at least 1 slot, got 0");
-            std::process::exit(2);
-        }
-        (Some(every), Some(dir)) => match session.with_checkpointing(every, dir.into()) {
-            Ok(session) => session,
-            Err(message) => {
-                eprintln!("error: {message}");
-                std::process::exit(2);
-            }
-        },
+        (Some(_), None) => exit_usage("--checkpoint-every requires --checkpoint-dir PATH"),
+        (None, Some(_)) => exit_usage("--checkpoint-dir requires --checkpoint-every N"),
+        (Some(0), Some(_)) => exit_usage("--checkpoint-every must be at least 1 slot, got 0"),
+        (Some(every), Some(dir)) => session
+            .with_checkpointing(every, dir.into())
+            .unwrap_or_else(|message| exit_usage(&message)),
     };
 
     let stdin = std::io::stdin();

@@ -25,8 +25,9 @@
 //! determinism contract, enforced across every world in the library.
 
 use geoplace_bench::scenario::{
-    golden_digests_path, golden_row, parse_golden_file, quick_matrix_config, render_golden_file,
-    run_policy_threads, CliArgs, PolicyKind, QUICK_MATRIX_SEEDS,
+    exit_usage, golden_digests_path, golden_row, parse_golden_file, quick_matrix_config,
+    render_golden_file, run_policy_threads, CliArgs, PolicyKind, Scale, BASE_FLAGS,
+    QUICK_MATRIX_SEEDS,
 };
 use geoplace_dcsim::config::ScenarioConfig;
 
@@ -70,14 +71,18 @@ fn run_cell(
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let check = std::env::args().any(|a| a == "--check");
-    let update = std::env::args().any(|a| a == "--update");
-    let cli = CliArgs::parse_strict(&[("--quick", false), ("--check", false), ("--update", false)]);
+    let cli = CliArgs::parse(
+        &[
+            BASE_FLAGS,
+            &[("--quick", false), ("--check", false), ("--update", false)],
+        ]
+        .concat(),
+    );
+    let (quick, check, update) = (cli.has("--quick"), cli.has("--check"), cli.has("--update"));
 
     // `--scenario NAME` narrows the matrix to that preset's rows; a
     // bare invocation runs the whole registry.
-    let scenario_selected = std::env::args().any(|a| a == "--scenario");
+    let scenario_selected = cli.has("--scenario");
     let registry: Vec<_> = geoplace_scenarios::registry()
         .into_iter()
         .filter(|spec| !scenario_selected || spec.name == cli.world.name)
@@ -85,11 +90,11 @@ fn main() {
     let seeds: Vec<u64> = if quick {
         // The quick matrix *is* the golden shape — its seeds are pinned,
         // so an explicit --seed would be silently ignored; refuse it.
-        if std::env::args().any(|a| a == "--seed") {
-            eprintln!(
-                "error: --quick pins the golden seeds {QUICK_MATRIX_SEEDS:?};                  drop --seed or run without --quick"
-            );
-            std::process::exit(2);
+        if cli.has("--seed") {
+            exit_usage(&format!(
+                "--quick pins the golden seeds {QUICK_MATRIX_SEEDS:?}; \
+                 drop --seed or run without --quick"
+            ));
         }
         QUICK_MATRIX_SEEDS.to_vec()
     } else {
@@ -102,15 +107,14 @@ fn main() {
             let config = if quick {
                 quick_matrix_config(spec, seed)
             } else {
-                let scale =
-                    if std::env::args().any(|a| ["--paper", "--stress"].contains(&a.as_str())) {
-                        cli.scale
-                    } else {
-                        // Bare invocations default to the bench scale: a full
-                        // 24-cell repro-scale matrix is a coffee-break run,
-                        // not a smoke check.
-                        geoplace_bench::Scale::Bench
-                    };
+                let scale = if cli.has("--paper") || cli.has("--stress") {
+                    cli.scale
+                } else {
+                    // Bare invocations default to the bench scale: a full
+                    // 24-cell repro-scale matrix is a coffee-break run,
+                    // not a smoke check.
+                    Scale::Bench
+                };
                 spec.apply(scale.config(seed))
             };
             eprintln!(

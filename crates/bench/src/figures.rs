@@ -227,7 +227,7 @@ pub fn all_figures(reports: &[SimulationReport]) -> String {
     out
 }
 
-/// Migration/QoS diagnostics appended by `repro_all`.
+/// Migration/QoS diagnostics appended by `repro all`.
 pub fn migration_summary(reports: &[SimulationReport]) -> String {
     let mut rows = Vec::new();
     for report in reports {

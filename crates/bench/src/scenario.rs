@@ -1,11 +1,10 @@
-//! Shared scenario builders and policy runners for the reproduction
-//! harness.
+//! Shared scenario builders, policy runners and the one command-line
+//! parser of the reproduction harness.
 //!
-//! Every figure is regenerated at two scales:
+//! Every experiment of `repro <experiment>` runs at one of four scales:
 //!
 //! * **paper** — Table I verbatim (3,000 servers, ~1,200 concurrent VMs,
-//!   168 slots); minutes of runtime, used by the `repro_*` binaries with
-//!   `--paper`;
+//!   168 slots); minutes of runtime, selected with `--paper`;
 //! * **repro** (default) — the same three sites at 1/5 fleet size and the
 //!   full one-week horizon (~400 VMs), which preserves every diurnal
 //!   price/PV/PUE interaction while finishing in tens of seconds;
@@ -21,12 +20,14 @@ use geoplace_dcsim::engine::{Scenario, Simulator};
 use geoplace_dcsim::metrics::SimulationReport;
 use geoplace_scenarios::{presets, WorldSpec};
 
-/// Scale of a reproduction run.
+/// Scale of a reproduction run, selected by `--paper`, `--bench` or
+/// `--stress` (default [`Scale::Repro`]). When several appear,
+/// `--paper` beats `--bench` beats `--stress`, whatever their order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Table I verbatim; one week.
     Paper,
-    /// 1/5 fleet; one week (default for the `repro_*` binaries).
+    /// 1/5 fleet; one week (the default scale of every experiment).
     Repro,
     /// 1/10 fleet; one day (quick runs, the golden matrix, tests).
     Bench,
@@ -35,45 +36,7 @@ pub enum Scale {
     Stress,
 }
 
-/// Parses `--seed N`: `Ok(42)` when the flag is absent, the parsed
-/// value when well-formed, and `Err` when the flag is present without a
-/// valid u64 — a sweep script with a typoed seed must fail loudly, not
-/// produce plausible-looking numbers for the wrong scenario.
-pub fn parse_seed(args: &[String]) -> Result<u64, String> {
-    let Some(position) = args.iter().position(|a| a == "--seed") else {
-        return Ok(42);
-    };
-    let Some(raw) = args.get(position + 1) else {
-        return Err("--seed requires a value (e.g. --seed 7)".into());
-    };
-    raw.parse()
-        .map_err(|_| format!("--seed expects an unsigned integer, got {raw:?}"))
-}
-
 impl Scale {
-    /// Parses process arguments: `--paper`, `--bench` or `--stress`
-    /// select the respective scales; default is [`Scale::Repro`].
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        Scale::from_slice(&args)
-    }
-
-    /// Pure parsing behind [`Scale::from_args`]. When several scale
-    /// flags appear, the documented precedence is `--paper` over
-    /// `--bench` over `--stress` (largest pinned-down world wins),
-    /// regardless of argument position; no flag means [`Scale::Repro`].
-    pub fn from_slice(args: &[String]) -> Scale {
-        if args.iter().any(|a| a == "--paper") {
-            Scale::Paper
-        } else if args.iter().any(|a| a == "--bench") {
-            Scale::Bench
-        } else if args.iter().any(|a| a == "--stress") {
-            Scale::Stress
-        } else {
-            Scale::Repro
-        }
-    }
-
     /// The scenario configuration at this scale.
     pub fn config(self, seed: u64) -> ScenarioConfig {
         match self {
@@ -101,8 +64,11 @@ impl Scale {
 
 /// The one parsed form of every harness binary's command line: scale
 /// flags, `--seed N` and `--scenario NAME` (a preset from the
-/// [`geoplace_scenarios`] registry). All `repro_*`/`diag_*`/CI binaries
-/// route through this instead of hand-rolling flag scans.
+/// [`geoplace_scenarios`] registry), plus every other flag of the
+/// binary's vocabulary, read back with [`CliArgs::has`] and
+/// [`CliArgs::value`]. The arguments are walked once: a value token is
+/// never also read as a flag, so `--checkpoint-dir --paper` names a
+/// directory and does not select the paper scale.
 ///
 /// # Examples
 ///
@@ -124,52 +90,75 @@ pub struct CliArgs {
     pub seed: u64,
     /// The world preset (`--scenario NAME`, default `paper`).
     pub world: WorldSpec,
+    /// Every `(flag, value)` pair the walk consumed, in argument order.
+    flags: Vec<(String, Option<String>)>,
 }
 
 impl CliArgs {
-    /// Parses the process arguments; any malformed flag, unknown flag
-    /// or unknown scenario name terminates the process with exit code
-    /// 2 — for an unknown name the error lists the whole registry, so a
-    /// typo in a sweep script fails loudly with the fix on screen.
-    pub fn parse() -> CliArgs {
-        CliArgs::parse_strict(&[])
-    }
-
-    /// [`CliArgs::parse`] for binaries with extra flags beyond the
-    /// shared vocabulary: `extras` lists them as
-    /// `(name, takes_value)` pairs. Anything outside the combined
-    /// vocabulary — a typoed `--sede`, a stray positional — terminates
-    /// the process with exit code 2 naming the offending argument.
-    pub fn parse_strict(extras: &[(&str, bool)]) -> CliArgs {
+    /// Parses the process arguments against `known`, the binary's whole
+    /// flag vocabulary as `(name, takes_value)` pairs. Any error
+    /// [`CliArgs::from_slice_with`] reports terminates the process via
+    /// [`exit_usage`].
+    pub fn parse(known: &[(&str, bool)]) -> CliArgs {
         let args: Vec<String> = std::env::args().collect();
-        let mut known: Vec<(&str, bool)> = BASE_FLAGS.to_vec();
-        known.extend_from_slice(extras);
-        if let Err(message) = check_unknown_flags(&args, &known) {
-            eprintln!("error: {message}");
-            std::process::exit(2);
-        }
-        match CliArgs::from_slice(&args) {
-            Ok(cli) => cli,
-            Err(message) => {
-                eprintln!("error: {message}");
-                std::process::exit(2);
-            }
-        }
+        CliArgs::from_slice_with(&args, known).unwrap_or_else(|message| exit_usage(&message))
     }
 
-    /// Pure parsing behind [`CliArgs::parse`].
+    /// [`CliArgs::from_slice_with`] over the shared vocabulary
+    /// [`BASE_FLAGS`].
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message when `--seed` is malformed,
-    /// `--scenario` is missing its value, or the scenario name is not
-    /// in the registry (the message lists every registered preset).
+    /// As [`CliArgs::from_slice_with`].
     pub fn from_slice(args: &[String]) -> std::result::Result<CliArgs, String> {
-        let seed = parse_seed(args)?;
-        let scale = Scale::from_slice(args);
-        let world = match flag_value(args, "--scenario")? {
+        CliArgs::from_slice_with(args, BASE_FLAGS)
+    }
+
+    /// Walks `args` (skipping `args[0]`) once against `known` and
+    /// resolves scale, seed and scenario from the flags it consumed.
+    /// Shared flags missing from `known` are rejected like any other
+    /// unknown flag, and their defaults apply.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending argument for everything
+    /// [`check_unknown_flags`] rejects, for a flag given twice, a
+    /// malformed `--seed`, or a scenario name outside the registry (the
+    /// message then lists every registered preset).
+    pub fn from_slice_with(
+        args: &[String],
+        known: &[(&str, bool)],
+    ) -> std::result::Result<CliArgs, String> {
+        let mut flags: Vec<(String, Option<String>)> = Vec::new();
+        for (name, value) in walk(args, known)? {
+            if flags.iter().any(|(seen, _)| seen == name) {
+                return Err(format!("{name} given twice"));
+            }
+            flags.push((name.to_owned(), value.map(str::to_owned)));
+        }
+        let walked = CliArgs {
+            scale: Scale::Repro,
+            seed: 42,
+            world: presets::paper(),
+            flags,
+        };
+        let scale = [
+            ("--paper", Scale::Paper),
+            ("--bench", Scale::Bench),
+            ("--stress", Scale::Stress),
+        ]
+        .into_iter()
+        .find(|(flag, _)| walked.has(flag))
+        .map_or(Scale::Repro, |(_, scale)| scale);
+        let seed = match walked.raw("--seed") {
+            None => 42,
+            Some(raw) => raw
+                .parse()
+                .map_err(|_| format!("--seed expects an unsigned integer, got {raw:?}"))?,
+        };
+        let world = match walked.raw("--scenario") {
             None => presets::paper(),
-            Some(name) => presets::named(&name).ok_or_else(|| {
+            Some(name) => presets::named(name).ok_or_else(|| {
                 let listing: String = presets::registry()
                     .iter()
                     .map(|spec| format!("\n  {:<16} {}", spec.name, spec.stresses))
@@ -177,7 +166,12 @@ impl CliArgs {
                 format!("unknown scenario {name:?}; registered scenarios:{listing}")
             })?,
         };
-        Ok(CliArgs { scale, seed, world })
+        Ok(CliArgs {
+            scale,
+            seed,
+            world,
+            ..walked
+        })
     }
 
     /// The fully lowered scenario: the preset's deltas applied to the
@@ -185,10 +179,41 @@ impl CliArgs {
     pub fn config(&self) -> ScenarioConfig {
         self.world.apply(self.scale.config(self.seed))
     }
+
+    /// True when the walk consumed flag `name`.
+    pub fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(flag, _)| flag == name)
+    }
+
+    /// The value of flag `name`, parsed as `T`: `Ok(None)` when the flag
+    /// is absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the flag when its value does not parse.
+    pub fn value<T: std::str::FromStr>(
+        &self,
+        name: &str,
+    ) -> std::result::Result<Option<T>, String> {
+        self.raw(name)
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| format!("{name} got unparsable value {raw:?}"))
+            })
+            .transpose()
+    }
+
+    /// The raw value of flag `name`, if the walk consumed it with one.
+    fn raw(&self, name: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .find(|(flag, _)| flag == name)
+            .and_then(|(_, value)| value.as_deref())
+    }
 }
 
-/// The flag vocabulary every [`CliArgs`] binary shares, as
-/// `(name, takes_value)` pairs.
+/// The flags every harness binary may share, as `(name, takes_value)`
+/// pairs: the three scales, `--seed` and `--scenario`.
 pub const BASE_FLAGS: &[(&str, bool)] = &[
     ("--paper", false),
     ("--bench", false),
@@ -197,58 +222,48 @@ pub const BASE_FLAGS: &[(&str, bool)] = &[
     ("--scenario", true),
 ];
 
-/// Scans `args` (skipping `args[0]`) against an explicit vocabulary of
-/// `(name, takes_value)` flags. Value-taking flags consume the next
-/// token. The error names the offending argument: `unknown flag --x`
-/// for an out-of-vocabulary flag, `--x requires a value` for a dangling
-/// value flag, `unexpected argument "x"` for a stray positional.
-pub fn check_unknown_flags(
-    args: &[String],
+/// The one walk over a command line: `args` (skipping `args[0]`)
+/// against an explicit vocabulary of `(name, takes_value)` flags.
+/// Value-taking flags consume the next token, whatever it looks like.
+/// Returns every consumed `(flag, value)` pair in argument order.
+fn walk<'a>(
+    args: &'a [String],
     known: &[(&str, bool)],
-) -> std::result::Result<(), String> {
-    let mut i = 1;
-    while i < args.len() {
-        let token = &args[i];
+) -> std::result::Result<Vec<(&'a str, Option<&'a str>)>, String> {
+    let mut consumed = Vec::new();
+    let mut tokens = args.iter().skip(1);
+    while let Some(token) = tokens.next() {
         match known.iter().find(|(name, _)| name == token) {
-            Some(&(name, takes_value)) => {
-                if takes_value {
-                    if i + 1 >= args.len() {
-                        return Err(format!("{name} requires a value"));
-                    }
-                    i += 2;
-                } else {
-                    i += 1;
-                }
-            }
+            Some((_, true)) => match tokens.next() {
+                Some(value) => consumed.push((token.as_str(), Some(value.as_str()))),
+                None => return Err(format!("{token} requires a value")),
+            },
+            Some((_, false)) => consumed.push((token.as_str(), None)),
             None if token.starts_with('-') => return Err(format!("unknown flag {token}")),
             None => return Err(format!("unexpected argument {token:?}")),
         }
     }
-    Ok(())
+    Ok(consumed)
 }
 
-/// The strict-vocabulary gate for binaries that do not go through
-/// [`CliArgs`] (they list their *whole* vocabulary explicitly): any
-/// argument outside it terminates the process with exit code 2 naming
-/// the offender, matching every other harness binary's convention.
-pub fn enforce_flags_or_exit(known: &[(&str, bool)]) {
-    let args: Vec<String> = std::env::args().collect();
-    if let Err(message) = check_unknown_flags(&args, known) {
-        eprintln!("error: {message}");
-        std::process::exit(2);
-    }
+/// Checks `args` (skipping `args[0]`) against an explicit vocabulary of
+/// `(name, takes_value)` flags — the walk behind [`CliArgs`], with its
+/// result dropped. The error names the offending argument: `unknown flag
+/// --x` for an out-of-vocabulary flag, `--x requires a value` for a
+/// dangling value flag, `unexpected argument "x"` for a stray
+/// positional.
+pub fn check_unknown_flags(
+    args: &[String],
+    known: &[(&str, bool)],
+) -> std::result::Result<(), String> {
+    walk(args, known).map(drop)
 }
 
-/// Raw value of `--<name>`, if present: `Ok(None)` when absent, `Err`
-/// when the flag dangles without a value.
-fn flag_value(args: &[String], name: &str) -> std::result::Result<Option<String>, String> {
-    let Some(position) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
-    match args.get(position + 1) {
-        Some(raw) => Ok(Some(raw.clone())),
-        None => Err(format!("{name} requires a value")),
-    }
+/// Prints `error: {message}` on stderr and exits with code 2: how every
+/// harness binary rejects a command line.
+pub fn exit_usage(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
 }
 
 /// Window-probe bound the local packer uses at sparse-pipeline fleet
@@ -263,7 +278,7 @@ const SPARSE_SCALE_PROBE_LIMIT: usize = 32;
 /// The scenario's [`Parallelism`](geoplace_types::Parallelism) setting
 /// carries over so the engine's and the policy's kernels share one
 /// thread budget. Every harness entry point (`run_policy`, `run_all`,
-/// the repro binaries' `--stress`/`--paper` scales) routes through this.
+/// `repro`'s `--stress`/`--paper` scales) routes through this.
 pub fn proposed_config_for(config: &ScenarioConfig) -> ProposedConfig {
     let mut proposed = ProposedConfig {
         parallelism: config.parallelism,
@@ -452,26 +467,6 @@ pub fn parse_golden_file(content: &str) -> std::collections::BTreeMap<String, St
         .collect()
 }
 
-/// Value of `--<name>` from the process arguments, parsed as `T`.
-/// `None` when the flag is absent; a present-but-missing or unparsable
-/// value terminates the process with a clear error (exit code 2), the
-/// convention every harness flag follows.
-pub fn flag_from_args<T: std::str::FromStr>(name: &str) -> Option<T> {
-    let args: Vec<String> = std::env::args().collect();
-    let position = args.iter().position(|a| a == name)?;
-    let Some(raw) = args.get(position + 1) else {
-        eprintln!("error: {name} requires a value");
-        std::process::exit(2);
-    };
-    match raw.parse() {
-        Ok(value) => Some(value),
-        Err(_) => {
-            eprintln!("error: {name} got unparsable value {raw:?}");
-            std::process::exit(2);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,46 +478,78 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parse_seed_handles_all_shapes() {
-        let args = |list: &[&str]| -> Vec<String> { list.iter().map(|s| s.to_string()).collect() };
-        assert_eq!(parse_seed(&args(&["bin"])), Ok(42));
-        assert_eq!(parse_seed(&args(&["bin", "--seed", "7"])), Ok(7));
-        assert_eq!(parse_seed(&args(&["bin", "--paper", "--seed", "0"])), Ok(0));
-        assert!(parse_seed(&args(&["bin", "--seed"])).is_err());
-        assert!(parse_seed(&args(&["bin", "--seed", "banana"])).is_err());
-        assert!(parse_seed(&args(&["bin", "--seed", "-3"])).is_err());
-    }
-
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn parse_seed_handles_all_shapes() {
+        let seed = |list: &[&str]| CliArgs::from_slice(&args(list)).map(|cli| cli.seed);
+        assert_eq!(seed(&["bin"]), Ok(42));
+        assert_eq!(seed(&["bin", "--seed", "7"]), Ok(7));
+        assert_eq!(seed(&["bin", "--paper", "--seed", "0"]), Ok(0));
+        assert!(seed(&["bin", "--seed"]).is_err());
+        assert!(seed(&["bin", "--seed", "banana"]).is_err());
+        assert!(seed(&["bin", "--seed", "-3"]).is_err());
     }
 
     #[test]
     fn scale_flags_resolve_by_documented_precedence() {
         // Precedence: --paper > --bench > --stress > default (repro),
         // independent of argument order.
-        assert_eq!(Scale::from_slice(&args(&["bin"])), Scale::Repro);
+        let scale = |list: &[&str]| CliArgs::from_slice(&args(list)).unwrap().scale;
+        assert_eq!(scale(&["bin"]), Scale::Repro);
+        assert_eq!(scale(&["bin", "--stress"]), Scale::Stress);
+        assert_eq!(scale(&["bin", "--bench", "--paper"]), Scale::Paper);
+        assert_eq!(scale(&["bin", "--paper", "--bench"]), Scale::Paper);
+        assert_eq!(scale(&["bin", "--stress", "--bench"]), Scale::Bench);
         assert_eq!(
-            Scale::from_slice(&args(&["bin", "--stress"])),
-            Scale::Stress
-        );
-        assert_eq!(
-            Scale::from_slice(&args(&["bin", "--bench", "--paper"])),
+            scale(&["bin", "--stress", "--bench", "--paper"]),
             Scale::Paper
         );
+    }
+
+    #[test]
+    fn a_value_token_is_never_read_as_a_flag() {
+        let cli = CliArgs::from_slice_with(
+            &args(&[
+                "geoplace-serve",
+                "--bench",
+                "--checkpoint-every",
+                "6",
+                "--checkpoint-dir",
+                "--paper",
+            ]),
+            crate::serve::FLAGS,
+        )
+        .unwrap();
+        assert_eq!(cli.scale, Scale::Bench);
         assert_eq!(
-            Scale::from_slice(&args(&["bin", "--paper", "--bench"])),
-            Scale::Paper
+            cli.value::<String>("--checkpoint-dir"),
+            Ok(Some("--paper".into()))
         );
-        assert_eq!(
-            Scale::from_slice(&args(&["bin", "--stress", "--bench"])),
-            Scale::Bench
-        );
-        assert_eq!(
-            Scale::from_slice(&args(&["bin", "--stress", "--bench", "--paper"])),
-            Scale::Paper
-        );
+        assert_eq!(cli.value::<u32>("--checkpoint-every"), Ok(Some(6)));
+        assert!(!cli.has("--paper"));
+    }
+
+    #[test]
+    fn a_repeated_flag_is_an_error() {
+        let err = CliArgs::from_slice(&args(&["bin", "--seed", "1", "--seed", "2"])).unwrap_err();
+        assert!(err.contains("--seed given twice"), "{err}");
+        let err = CliArgs::from_slice(&args(&["bin", "--bench", "--bench"])).unwrap_err();
+        assert!(err.contains("--bench given twice"), "{err}");
+    }
+
+    #[test]
+    fn shared_flags_outside_the_vocabulary_are_rejected() {
+        let known = &[("--bench", false), ("--slots", true)];
+        let err = CliArgs::from_slice_with(&args(&["bin", "--seed", "7"]), known).unwrap_err();
+        assert!(err.contains("unknown flag --seed"), "{err}");
+        let cli = CliArgs::from_slice_with(&args(&["bin", "--slots", "x"]), known).unwrap();
+        assert_eq!((cli.scale, cli.seed), (Scale::Repro, 42));
+        let err = cli.value::<u32>("--slots").unwrap_err();
+        assert!(err.contains("--slots") && err.contains("\"x\""), "{err}");
+        assert_eq!(cli.value::<u32>("--absent"), Ok(None));
     }
 
     #[test]
@@ -679,7 +706,7 @@ mod tests {
     fn proposed_config_bounds_probes_only_at_sparse_scales() {
         // Dense-scale scenarios keep the exact first-fit scan; sparse-
         // scale ones (stress, paper) get the bounded probe budget — via
-        // run_policy, so every repro binary's --stress is covered.
+        // run_policy, so every repro experiment's --stress is covered.
         let bench = Scale::Bench.config(1);
         assert_eq!(proposed_config_for(&bench).local.probe_limit, usize::MAX);
         let stress = Scale::Stress.config(1);

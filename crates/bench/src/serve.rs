@@ -45,7 +45,7 @@
 //! produces for the same configuration and policy.
 
 use crate::json::{object, Value};
-use crate::scenario::PolicyKind;
+use crate::scenario::{policy_for, PolicyKind};
 use geoplace_dcsim::checkpoint::{checkpoint_path, checkpoint_with_policy, restore_with_policy};
 use geoplace_dcsim::config::ScenarioConfig;
 use geoplace_dcsim::engine::Scenario;
@@ -58,6 +58,22 @@ use geoplace_workload::source::{ExternalDeltaSource, SyntheticSource, TraceSourc
 use geoplace_workload::trace::TraceKind;
 use geoplace_workload::tracefile::TraceRow;
 use std::path::{Path, PathBuf};
+
+/// The whole flag vocabulary of the `geoplace-serve` binary, as
+/// `(name, takes_value)` pairs: the shared harness flags, then its own.
+pub const FLAGS: &[(&str, bool)] = &[
+    ("--paper", false),
+    ("--bench", false),
+    ("--stress", false),
+    ("--seed", true),
+    ("--scenario", true),
+    ("--slots", true),
+    ("--policy", true),
+    ("--external", false),
+    ("--trace", true),
+    ("--checkpoint-every", true),
+    ("--checkpoint-dir", true),
+];
 
 /// Where slot boundaries get their fleet changes from.
 enum Source {
@@ -143,7 +159,7 @@ impl Session {
         let stepper = SlotStepper::new(scenario);
         Ok(Session {
             stepper,
-            policy: make_policy(config, kind),
+            policy: policy_for(config, kind),
             source,
             next_external_id: 0,
             config: config.clone(),
@@ -347,7 +363,7 @@ impl Session {
         // Stage engine + policy into a freshly built world.
         let scenario = Scenario::build(&self.config).map_err(|e| e.to_string())?;
         let mut stepper = SlotStepper::new(scenario);
-        let mut policy = make_policy(&self.config, self.kind);
+        let mut policy = policy_for(&self.config, self.kind);
         restore_with_policy(&mut stepper, &mut *policy, &ck).map_err(|e| e.to_string())?;
         // Everything validated — commit.
         self.stepper = stepper;
@@ -543,12 +559,6 @@ impl Session {
             ("pending_traffic", source.pending().traffic.len().into()),
         ]))
     }
-}
-
-/// Builds the selected policy fresh over a configuration — used both at
-/// session construction and to stage a `restore` target.
-fn make_policy(config: &ScenarioConfig, kind: PolicyKind) -> Box<dyn GlobalPolicy> {
-    crate::scenario::policy_for(config, kind)
 }
 
 /// A u64 state hash as the protocol's 16-digit hex string — JSON numbers

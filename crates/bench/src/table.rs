@@ -1,9 +1,9 @@
-//! Plain-text table and series rendering for the reproduction binaries.
+//! Plain-text table and series rendering for the `repro` experiments.
 //!
-//! The paper's figures are line/bar/PDF plots; the binaries print the same
+//! The paper's figures are line/bar/PDF plots; `repro` prints the same
 //! data as aligned ASCII tables plus compact sparkline-style series so the
 //! *shape* (who wins, by how much, where crossovers fall) is readable in a
-//! terminal and diffable in EXPERIMENTS.md.
+//! terminal and diffable between runs.
 
 /// Renders a header + rows table with right-aligned numeric columns.
 ///

@@ -9,14 +9,11 @@
 //!   and exposes any systematic bias of the sparse path.
 //! * same-seed bitwise determinism of the sparse path.
 //! * the ≈10,000-VM stress scenario completing a full one-day horizon.
-//! * the `diag_pipeline_agreement` binary rejecting the flags it would
-//!   otherwise ignore.
 
 use geoplace_bench::scenario::{dense_sparse_pair, run_policy, run_proposed_with, PolicyKind};
 use geoplace_bench::Scale;
 use geoplace_core::ProposedConfig;
 use geoplace_dcsim::metrics::Totals;
-use std::process::Command;
 
 /// The dense and the sparse side's totals over one repro world.
 fn paired_run(seed: u64, horizon: u32) -> (Totals, Totals) {
@@ -103,23 +100,4 @@ fn stress_scenario_completes_one_day() {
         peak_vms >= 8_000,
         "stress run must actually be stress-scale, peaked at {peak_vms} VMs"
     );
-}
-
-#[test]
-fn diag_pipeline_agreement_rejects_the_flags_it_would_ignore() {
-    for flags in [
-        &["--bench"][..],
-        &["--paper"],
-        &["--stress"],
-        &["--seed", "7"],
-    ] {
-        let output = Command::new(env!("CARGO_BIN_EXE_diag_pipeline_agreement"))
-            .args(flags)
-            .output()
-            .expect("spawn diag_pipeline_agreement");
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert_eq!(output.status.code(), Some(2), "{flags:?}: {stderr}");
-        assert!(stderr.contains(flags[0]), "{flags:?}: {stderr}");
-        assert!(output.stdout.is_empty(), "{flags:?} ran before exiting");
-    }
 }

@@ -115,9 +115,6 @@ pub struct ProposedPolicy {
     loads: Vec<Joules>,
     /// Migration-revision inputs, refilled in place every decide.
     inputs: Vec<VmPlacementInput>,
-    /// The Pearson-ablation matrix, recomputed into the same allocation
-    /// each slot (dense path); `None` until the first Pearson decide.
-    pearson: Option<CpuCorrelationMatrix>,
 }
 
 impl ProposedPolicy {
@@ -138,7 +135,6 @@ impl ProposedPolicy {
             config,
             loads: Vec::new(),
             inputs: Vec::new(),
-            pearson: None,
         }
     }
 
@@ -184,36 +180,22 @@ impl GlobalPolicy for ProposedPolicy {
             }
             CorrelationMetric::Pearson => {
                 // Mirror the engine's dense/sparse choice so the ablation
-                // compares metrics, not representations. The dense matrix
-                // is recomputed into the cached allocation — at n² floats
-                // it is by far the largest per-slot buffer of this path.
-                match snapshot.cpu_corr.sparsity() {
-                    Some(sparsity) => {
-                        self.pearson = Some(CpuCorrelationMatrix::compute_sparse_exec(
-                            snapshot.windows,
-                            CorrelationMetric::Pearson,
-                            sparsity,
-                            self.exec,
-                        ));
-                    }
-                    None => match self.pearson.as_mut() {
-                        Some(cache) => cache.recompute_dense_exec(
-                            snapshot.windows,
-                            CorrelationMetric::Pearson,
-                            self.exec,
-                        ),
-                        None => {
-                            self.pearson = Some(CpuCorrelationMatrix::compute_exec(
-                                snapshot.windows,
-                                CorrelationMetric::Pearson,
-                                self.exec,
-                            ));
-                        }
-                    },
-                }
-                let pearson_matrix = self.pearson.as_ref().expect("just recomputed");
+                // compares metrics, not representations.
+                let pearson = match snapshot.cpu_corr.sparsity() {
+                    Some(sparsity) => CpuCorrelationMatrix::compute_sparse_exec(
+                        snapshot.windows,
+                        CorrelationMetric::Pearson,
+                        sparsity,
+                        self.exec,
+                    ),
+                    None => CpuCorrelationMatrix::compute_exec(
+                        snapshot.windows,
+                        CorrelationMetric::Pearson,
+                        self.exec,
+                    ),
+                };
                 self.layout
-                    .update(snapshot.arena, pearson_matrix, snapshot.traffic)
+                    .update(snapshot.arena, &pearson, snapshot.traffic)
             }
         };
 
@@ -298,8 +280,8 @@ impl GlobalPolicy for ProposedPolicy {
 
     /// Serializes the warm-start state `decide` carries across slots: the
     /// migration-check RNG, the previous k-means centroids, and the force
-    /// layout's VM positions. `loads`/`inputs` are per-decide scratch and
-    /// the Pearson matrix is a pure cache — both are rebuilt, not saved.
+    /// layout's VM positions. `loads`/`inputs` are per-decide scratch,
+    /// rebuilt rather than saved.
     fn save_state(&self, w: &mut SnapWriter) {
         for word in self.rng.state() {
             w.write_u64(word);
@@ -362,9 +344,6 @@ impl GlobalPolicy for ProposedPolicy {
         self.rng = StdRng::from_state(state);
         self.prev_centroids = prev_centroids;
         self.layout.set_positions(positions);
-        // The Pearson matrix is recomputed from the next observation
-        // (fill-overwrite — bit-identical to the uninterrupted cache).
-        self.pearson = None;
         Ok(())
     }
 }
@@ -516,8 +495,8 @@ mod tests {
         // The full warm-start surface (layout positions, centroids, RNG)
         // round-trips through the codec: resuming at slot 3 reproduces
         // the uninterrupted 6-slot digest, under both repulsion metrics —
-        // Pearson exercises the rebuild-on-restore path of the matrix
-        // cache (`pearson` restores as None and is recomputed in place).
+        // the Pearson arm recomputes its matrix from the first
+        // observation after the restore, as it does every slot.
         use geoplace_dcsim::checkpoint::{checkpoint_with_policy, restore_with_policy};
         use geoplace_dcsim::config::ScenarioConfig;
         use geoplace_dcsim::engine::{Scenario, Simulator};

@@ -24,20 +24,28 @@
 //! uninterrupted run would have.
 
 use super::{Phase, SlotStepper};
+use crate::config::ScenarioConfig;
 use crate::metrics::HourlyRecord;
 use geoplace_types::snap::{Checkpoint, Fnv64, SnapWriter, Snapshot};
 use geoplace_types::time::TimeSlot;
 use geoplace_types::units::Joules;
-use geoplace_types::{DcId, Error, Result, VmId};
+use geoplace_types::{DcId, Error, Parallelism, Result, VmId};
 use rand::rngs::StdRng;
 use std::collections::BTreeMap;
 
 impl SlotStepper {
-    /// FNV-1a fingerprint of the scenario configuration (its complete
-    /// `Debug` rendering, including execution knobs). A checkpoint only
-    /// restores onto a stepper whose config fingerprints identically.
+    /// FNV-1a fingerprint of the scenario configuration: its `Debug`
+    /// rendering with `parallelism` held at its default. The thread count
+    /// changes no result (the executor's determinism contract), so a
+    /// checkpoint written at one thread count restores at any other; it
+    /// only restores onto a stepper whose config otherwise fingerprints
+    /// identically.
     pub fn config_fingerprint(&self) -> u64 {
-        geoplace_types::snap::fingerprint_str(&format!("{:?}", self.scenario.config))
+        let config = ScenarioConfig {
+            parallelism: Parallelism::default(),
+            ..self.scenario.config.clone()
+        };
+        geoplace_types::snap::fingerprint_str(&format!("{config:?}"))
     }
 
     /// Cheap deterministic hash of the live engine state at the current
@@ -330,7 +338,11 @@ mod tests {
     use geoplace_workload::source::SyntheticSource;
 
     fn run_to(slot: u32) -> SlotStepper {
-        let mut stepper = SlotStepper::new(Scenario::build(&tiny_config()).unwrap());
+        run_config_to(&tiny_config(), slot)
+    }
+
+    fn run_config_to(config: &ScenarioConfig, slot: u32) -> SlotStepper {
+        let mut stepper = SlotStepper::new(Scenario::build(config).unwrap());
         let mut policy = RoundRobinDcs;
         let mut source = SyntheticSource;
         for _ in 0..slot {
@@ -376,6 +388,23 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_restores_at_any_thread_count() {
+        let at = |threads| ScenarioConfig {
+            parallelism: Parallelism::Threads(threads),
+            ..tiny_config()
+        };
+        let (reference_hashes, reference_digest) = finish(run_config_to(&at(1), 0));
+        let ck = run_config_to(&at(2), 2).checkpoint().unwrap();
+        let mut resumed = SlotStepper::new(Scenario::build(&at(1)).unwrap());
+        resumed
+            .restore(&Checkpoint::decode(&ck.encode()).unwrap())
+            .unwrap();
+        let (tail_hashes, resumed_digest) = finish(resumed);
+        assert_eq!(resumed_digest, reference_digest);
+        assert_eq!(tail_hashes[..], reference_hashes[2..]);
+    }
+
+    #[test]
     fn checkpoint_mid_slot_is_rejected() {
         let mut stepper = run_to(1);
         stepper.advance_world(&mut SyntheticSource).unwrap();
@@ -411,7 +440,6 @@ mod tests {
 
     #[test]
     fn state_hash_is_thread_invariant() {
-        use geoplace_types::Parallelism;
         let run = |threads| {
             let mut config = tiny_config();
             config.parallelism = Parallelism::Threads(threads);

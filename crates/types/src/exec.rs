@@ -18,8 +18,9 @@
 //!    disjoint output slice ([`Exec::map_mut`]) or produces an owned
 //!    partial keyed by its chunk index ([`Exec::map_chunks`]).
 //! 3. **Partials are combined in ascending chunk order** on the calling
-//!    thread ([`Exec::reduce_chunks`]), so non-associative floating-point
-//!    folds see one fixed operand sequence.
+//!    thread ([`Exec::map_chunks`] returns them in that order), so
+//!    non-associative floating-point folds see one fixed operand
+//!    sequence.
 //!
 //! Scheduling *is* dynamic (an atomic chunk counter balances uneven
 //! chunks across workers), which is safe precisely because results are
@@ -36,12 +37,10 @@
 //! let data: Vec<u64> = (0..10_000).collect();
 //! // Chunked sum, folded in ascending chunk order: identical at any
 //! // thread count (and here, with integers, to the serial sum too).
-//! let total = exec.reduce_chunks(
-//!     data.len(),
-//!     |range| range.map(|i| data[i]).sum::<u64>(),
-//!     0u64,
-//!     |a, b| a + b,
-//! );
+//! let total: u64 = exec
+//!     .map_chunks(data.len(), |range| range.map(|i| data[i]).sum::<u64>())
+//!     .into_iter()
+//!     .sum();
 //! assert_eq!(total, data.iter().sum::<u64>());
 //! ```
 
@@ -184,19 +183,6 @@ impl Exec {
             .collect()
     }
 
-    /// Chunked map + fold: `f` produces one partial per chunk, `fold`
-    /// combines them **in ascending chunk order** on the calling thread
-    /// (rule 3 — the floating-point fold sees one fixed operand
-    /// sequence at every thread count).
-    pub fn reduce_chunks<R, F, G>(&self, n: usize, f: F, init: R, fold: G) -> R
-    where
-        R: Send,
-        F: Fn(Range<usize>) -> R + Sync,
-        G: FnMut(R, R) -> R,
-    {
-        self.map_chunks(n, f).into_iter().fold(init, fold)
-    }
-
     /// Runs `f` once per item of `items` (contiguous chunks of the slice
     /// go to separate workers) and returns the results in item order.
     /// Each invocation owns its item mutably and nothing else, so the
@@ -285,38 +271,6 @@ mod tests {
         let exec = Exec::new(Parallelism::Threads(4));
         let out: Vec<usize> = exec.map_chunks(0, |range| range.len());
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn float_reduction_is_thread_count_invariant() {
-        // A sum crafted to be sensitive to association order: huge and
-        // tiny magnitudes interleaved. Every thread count must agree
-        // bit-for-bit because partials fold in chunk order.
-        let data: Vec<f64> = (0..5000)
-            .map(|i| {
-                if i % 7 == 0 {
-                    1e16
-                } else {
-                    (i as f64).sin() * 1e-8
-                }
-            })
-            .collect();
-        let sum_at = |threads: usize| {
-            Exec::new(Parallelism::Threads(threads)).reduce_chunks(
-                data.len(),
-                |range| range.map(|i| data[i]).sum::<f64>(),
-                0.0f64,
-                |a, b| a + b,
-            )
-        };
-        let reference = sum_at(1);
-        for threads in [2usize, 3, 5, 8, 16] {
-            assert_eq!(
-                sum_at(threads).to_bits(),
-                reference.to_bits(),
-                "t={threads}"
-            );
-        }
     }
 
     #[test]

@@ -84,63 +84,58 @@ pub enum CorrelationMetric {
     #[default]
     PeakCoincidence,
     /// Pearson correlation mapped from `[-1, 1]` into `(0, 1]` — offered
-    /// for comparison (DESIGN.md §5); smoother but blind to *when* peaks
-    /// align in absolute terms.
+    /// for comparison (the `repro metric_ablation` experiment); smoother
+    /// but blind to *when* peaks align in absolute terms.
     Pearson,
 }
 
 impl CpuCorrelationMatrix {
     /// Computes the exact dense peak-coincidence matrix for every VM pair.
     pub fn compute(windows: &UtilizationWindows) -> Self {
-        Self::compute_with(windows, CorrelationMetric::PeakCoincidence)
+        Self::compute_exec(windows, CorrelationMetric::PeakCoincidence, Exec::serial())
     }
 
     /// Computes the exact dense pairwise matrix under the chosen metric;
     /// both yield values in `(0, 1]` with 1.0 meaning "worst co-location
-    /// candidate".
-    pub fn compute_with(windows: &UtilizationWindows, metric: CorrelationMetric) -> Self {
-        Self::compute_exec(windows, metric, Exec::serial())
-    }
-
-    /// [`CpuCorrelationMatrix::compute_with`] on an execution context:
-    /// rows are evaluated across the worker threads. Each matrix entry is
-    /// an independent pure function of two windows, so every thread count
-    /// produces the identical matrix.
+    /// candidate". Rows are evaluated across the worker threads of
+    /// `exec`. Each matrix entry is an independent pure function of two
+    /// windows, so every thread count produces the identical matrix.
     pub fn compute_exec(
         windows: &UtilizationWindows,
         metric: CorrelationMetric,
         exec: Exec,
     ) -> Self {
-        let mut values = Vec::new();
-        fill_dense_values(windows, metric, exec, &mut values);
+        let n = windows.len();
+        let mut values = vec![0.0f32; n * n];
+        let peaks: Vec<f32> = (0..n).map(|i| peak_of(windows.row_at(i))).collect();
+        // Upper-triangular row tails per chunk; the symmetric scatter is
+        // a cheap serial pass (no window scans).
+        let peaks_ref = &peaks;
+        let tails: Vec<Vec<f32>> = exec
+            .map_chunks(n, |range| {
+                range
+                    .map(|i| {
+                        ((i + 1)..n)
+                            .map(|j| pair_metric(windows, peaks_ref, i, j, metric))
+                            .collect::<Vec<f32>>()
+                    })
+                    .collect::<Vec<Vec<f32>>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        for (i, tail) in tails.iter().enumerate() {
+            values[i * n + i] = 1.0;
+            for (offset, &c) in tail.iter().enumerate() {
+                let j = i + 1 + offset;
+                values[i * n + j] = c;
+                values[j * n + i] = c;
+            }
+        }
         CpuCorrelationMatrix {
             ids: windows.ids().to_vec(),
-            n: windows.len(),
+            n,
             repr: Repr::Dense { values },
-        }
-    }
-
-    /// Recomputes this matrix as the exact **dense** matrix of `windows`
-    /// under `metric`, in place. When the current representation is
-    /// already dense, the `n × n` value buffer — the dominant allocation
-    /// of a dense build — is refilled without reallocating; otherwise the
-    /// matrix is replaced wholesale. Semantically identical to
-    /// assigning [`CpuCorrelationMatrix::compute_exec`]; callers that
-    /// re-derive a matrix every slot (the Pearson-ablation path of the
-    /// proposed policy) hold one instance and recompute into it.
-    pub fn recompute_dense_exec(
-        &mut self,
-        windows: &UtilizationWindows,
-        metric: CorrelationMetric,
-        exec: Exec,
-    ) {
-        if let Repr::Dense { values } = &mut self.repr {
-            fill_dense_values(windows, metric, exec, values);
-            self.ids.clear();
-            self.ids.extend_from_slice(windows.ids());
-            self.n = windows.len();
-        } else {
-            *self = Self::compute_exec(windows, metric, exec);
         }
     }
 
@@ -191,23 +186,9 @@ impl CpuCorrelationMatrix {
     }
 
     /// Computes the representation [`SparsityConfig`] selects for this
-    /// fleet size: exact dense below the crossover, sparse top-k above.
-    pub fn compute_auto(windows: &UtilizationWindows, sparsity: &SparsityConfig) -> Self {
-        Self::compute_auto_with(windows, CorrelationMetric::PeakCoincidence, sparsity)
-    }
-
-    /// [`CpuCorrelationMatrix::compute_auto`] under an explicit metric.
-    pub fn compute_auto_with(
-        windows: &UtilizationWindows,
-        metric: CorrelationMetric,
-        sparsity: &SparsityConfig,
-    ) -> Self {
-        Self::compute_auto_exec(windows, metric, sparsity, Exec::serial())
-    }
-
-    /// [`CpuCorrelationMatrix::compute_auto_with`] on an execution
-    /// context (the representation choice is unaffected; only the row
-    /// evaluation fans out).
+    /// fleet size under `metric`: exact dense below the crossover, sparse
+    /// top-k above. `exec` leaves the representation choice unaffected;
+    /// only the row evaluation fans out.
     pub fn compute_auto_exec(
         windows: &UtilizationWindows,
         metric: CorrelationMetric,
@@ -227,20 +208,16 @@ impl CpuCorrelationMatrix {
     /// different row order yields the same per-VM neighbor sets and
     /// weights.
     pub fn compute_sparse(windows: &UtilizationWindows, sparsity: &SparsityConfig) -> Self {
-        Self::compute_sparse_with(windows, CorrelationMetric::PeakCoincidence, sparsity)
+        Self::compute_sparse_exec(
+            windows,
+            CorrelationMetric::PeakCoincidence,
+            sparsity,
+            Exec::serial(),
+        )
     }
 
-    /// [`CpuCorrelationMatrix::compute_sparse`] under an explicit metric.
-    pub fn compute_sparse_with(
-        windows: &UtilizationWindows,
-        metric: CorrelationMetric,
-        sparsity: &SparsityConfig,
-    ) -> Self {
-        Self::compute_sparse_exec(windows, metric, sparsity, Exec::serial())
-    }
-
-    /// [`CpuCorrelationMatrix::compute_sparse_with`] on an execution
-    /// context. The per-row peak scan and the top-k candidate evaluation
+    /// [`CpuCorrelationMatrix::compute_sparse`] under an explicit metric,
+    /// on an execution context. The per-row peak scan and the top-k candidate evaluation
     /// — the dominant slot-step cost at stress scale — fan out across
     /// the worker threads; each row's retained list is an independent
     /// pure function of the windows, and rows are concatenated back in
@@ -518,46 +495,6 @@ impl CpuCorrelationMatrix {
     }
 }
 
-/// Fills `values` (cleared and resized in place) with the exact dense
-/// `n × n` matrix of `windows` under `metric` — the shared core of
-/// [`CpuCorrelationMatrix::compute_exec`] and
-/// [`CpuCorrelationMatrix::recompute_dense_exec`].
-fn fill_dense_values(
-    windows: &UtilizationWindows,
-    metric: CorrelationMetric,
-    exec: Exec,
-    values: &mut Vec<f32>,
-) {
-    let n = windows.len();
-    values.clear();
-    values.resize(n * n, 0.0);
-    let peaks: Vec<f32> = (0..n).map(|i| peak_of(windows.row_at(i))).collect();
-    // Upper-triangular row tails per chunk; the symmetric scatter is
-    // a cheap serial pass (no window scans).
-    let peaks_ref = &peaks;
-    let tails: Vec<Vec<f32>> = exec
-        .map_chunks(n, |range| {
-            range
-                .map(|i| {
-                    ((i + 1)..n)
-                        .map(|j| pair_metric(windows, peaks_ref, i, j, metric))
-                        .collect::<Vec<f32>>()
-                })
-                .collect::<Vec<Vec<f32>>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    for (i, tail) in tails.iter().enumerate() {
-        values[i * n + i] = 1.0;
-        for (offset, &c) in tail.iter().enumerate() {
-            let j = i + 1 + offset;
-            values[i * n + j] = c;
-            values[j * n + i] = c;
-        }
-    }
-}
-
 /// One pairwise statistic under the chosen metric.
 fn pair_metric(
     windows: &UtilizationWindows,
@@ -765,7 +702,7 @@ mod tests {
     #[test]
     fn pearson_metric_orders_pairs_like_the_default() {
         // Same-phase pair must repel more than anti-phase pair under both
-        // metrics; this is the comparison DESIGN.md §5 promises.
+        // metrics, or the metric ablation compares nothing.
         let windows = UtilizationWindows::from_rows(vec![
             (VmId(0), vec![0.9, 0.7, 0.2, 0.1]),
             (VmId(1), vec![0.8, 0.6, 0.1, 0.2]), // same phase as vm0
@@ -775,7 +712,7 @@ mod tests {
             CorrelationMetric::PeakCoincidence,
             CorrelationMetric::Pearson,
         ] {
-            let m = CpuCorrelationMatrix::compute_with(&windows, metric);
+            let m = CpuCorrelationMatrix::compute_exec(&windows, metric, Exec::serial());
             assert!(
                 m.at(0, 1) > m.at(0, 2),
                 "{metric:?}: same-phase {} must exceed anti-phase {}",
@@ -821,50 +758,17 @@ mod tests {
     }
 
     #[test]
-    fn recompute_dense_matches_fresh_compute_across_shape_changes() {
-        let windows_of = |n: u32, phase_step: usize| {
-            UtilizationWindows::from_rows(
-                (0..n)
-                    .map(|i| {
-                        let row: Vec<f32> = (0..24)
-                            .map(|t| {
-                                let x = (t + i as usize * phase_step) % 24;
-                                0.1 + 0.8 * (-((x as f32 - 12.0).powi(2)) / 20.0).exp()
-                            })
-                            .collect();
-                        (VmId(i), row)
-                    })
-                    .collect(),
-            )
-        };
-        let mut cached =
-            CpuCorrelationMatrix::compute_with(&windows_of(10, 3), CorrelationMetric::Pearson);
-        // Grow, shrink, and re-metric: every recompute must equal a
-        // fresh dense build bit for bit.
-        for (n, step, metric) in [
-            (16u32, 5, CorrelationMetric::Pearson),
-            (6, 2, CorrelationMetric::PeakCoincidence),
-            (0, 1, CorrelationMetric::Pearson),
-            (12, 7, CorrelationMetric::Pearson),
-        ] {
-            let windows = windows_of(n, step);
-            cached.recompute_dense_exec(&windows, metric, Exec::serial());
-            assert_eq!(
-                cached,
-                CpuCorrelationMatrix::compute_with(&windows, metric),
-                "n={n} step={step}"
-            );
-        }
-    }
-
-    #[test]
     fn pearson_metric_stays_in_unit_interval() {
         let windows = UtilizationWindows::from_rows(vec![
             (VmId(0), vec![0.9, 0.1, 0.9, 0.1]),
             (VmId(1), vec![0.1, 0.9, 0.1, 0.9]),
             (VmId(2), vec![0.5, 0.5, 0.5, 0.5]),
         ]);
-        let m = CpuCorrelationMatrix::compute_with(&windows, CorrelationMetric::Pearson);
+        let m = CpuCorrelationMatrix::compute_exec(
+            &windows,
+            CorrelationMetric::Pearson,
+            Exec::serial(),
+        );
         for i in 0..3 {
             for j in 0..3 {
                 let v = m.at(i, j);
@@ -1030,9 +934,17 @@ mod tests {
             dense_crossover: 100,
             ..small_sparsity()
         };
-        assert!(!CpuCorrelationMatrix::compute_auto(&windows, &config).is_sparse());
+        let auto = |config: &SparsityConfig| {
+            CpuCorrelationMatrix::compute_auto_exec(
+                &windows,
+                CorrelationMetric::PeakCoincidence,
+                config,
+                Exec::serial(),
+            )
+        };
+        assert!(!auto(&config).is_sparse());
         config.dense_crossover = 4;
-        let sparse = CpuCorrelationMatrix::compute_auto(&windows, &config);
+        let sparse = auto(&config);
         assert!(sparse.is_sparse());
         assert_eq!(sparse.sparsity(), Some(&config));
     }

@@ -2,7 +2,6 @@
 //! both correlation structures, advanced slot by slot.
 
 use crate::arrivals::{ArrivalConfig, ArrivalProcess};
-use crate::cpucorr::CpuCorrelationMatrix;
 use crate::datacorr::{DataCorrelation, DataCorrelationConfig};
 use crate::trace::{TraceKind, TraceParams, VmTrace};
 use crate::vm::{GroupId, VmSpec};
@@ -427,11 +426,6 @@ impl VmFleet {
             geoplace_types::time::TICKS_PER_SLOT,
             |vm, row| self.vms[self.by_id[&vm]].trace().window_into(slot, row),
         );
-    }
-
-    /// CPU-load correlation matrix of the active VMs over `slot`.
-    pub fn cpu_correlation(&self, slot: TimeSlot) -> CpuCorrelationMatrix {
-        CpuCorrelationMatrix::compute(&self.windows(slot))
     }
 
     /// Total number of VMs ever admitted.

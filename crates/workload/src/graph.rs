@@ -11,7 +11,7 @@
 //! bidirectional — vol(i→j) ≠ vol(j→i)).
 
 use crate::datacorr::DataCorrelation;
-use geoplace_types::{Exec, VmArena, VmId};
+use geoplace_types::{VmArena, VmId};
 
 /// One directed adjacency entry of a [`TrafficGraph`] row.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,17 +60,10 @@ impl DataCorrelation {
     /// disconnect has not landed yet). Traffic is naturally sparse
     /// (intra-group meshes plus a few cross links), so every pair is
     /// retained — unlike the CPU-correlation graph, no top-k truncation
-    /// is needed.
+    /// is needed. The engine maintains the same graph incrementally
+    /// ([`TrafficGraphCache`]); this from-scratch build is the reference
+    /// its rebuild check compares against.
     pub fn traffic_graph(&self, arena: &VmArena) -> TrafficGraph {
-        self.traffic_graph_exec(arena, Exec::serial())
-    }
-
-    /// [`DataCorrelation::traffic_graph`] on an execution context: the
-    /// CSR ordering sort fans out as sorted runs built across the worker
-    /// threads and merged on the calling thread. Every `(row, neighbor)`
-    /// key is unique, so the merged order — and with it the graph — is
-    /// identical at every thread count.
-    pub fn traffic_graph_exec(&self, arena: &VmArena, exec: Exec) -> TrafficGraph {
         let n = arena.len();
         let ids = arena.ids();
         // Both directions of every undirected pair, as (row, edge).
@@ -98,12 +91,12 @@ impl DataCorrelation {
         }
         // Rows in arena order, within a row by neighbor VM id — the
         // iteration order every consumer sees is then independent of how
-        // the fleet was enumerated.
-        let order = |a: &(u32, TrafficEdge), b: &(u32, TrafficEdge)| {
+        // the fleet was enumerated. Every `(row, neighbor)` key is unique,
+        // so the unstable sort is deterministic.
+        entries.sort_unstable_by(|a, b| {
             a.0.cmp(&b.0)
                 .then_with(|| ids[a.1.target as usize].cmp(&ids[b.1.target as usize]))
-        };
-        sort_deterministic(&mut entries, exec, order);
+        });
         let mut offsets = vec![0u32; n + 1];
         for &(row, _) in &entries {
             offsets[row as usize + 1] += 1;
@@ -124,60 +117,9 @@ impl DataCorrelation {
     }
 }
 
-/// Sorts `entries` by `order` using per-chunk parallel runs merged on
-/// the calling thread. Keys must form a total order with no duplicates
-/// among the entries (true for CSR `(row, neighbor-id)` keys), which
-/// makes the result identical to a plain serial sort at every thread
-/// count.
-fn sort_deterministic<T, F>(entries: &mut [T], exec: Exec, order: F)
-where
-    T: Send + Copy,
-    F: Fn(&T, &T) -> std::cmp::Ordering + Sync,
-{
-    let run = geoplace_types::exec::chunk_size(entries.len()).max(1024);
-    if exec.threads() <= 1 || entries.len() <= run {
-        entries.sort_unstable_by(&order);
-        return;
-    }
-    exec.map_mut(
-        &mut entries.chunks_mut(run).collect::<Vec<_>>(),
-        |_, chunk| chunk.sort_unstable_by(&order),
-    );
-    // Bottom-up two-way merges of adjacent runs (serial; the heavy
-    // comparisons already happened inside the runs).
-    let mut source: Vec<T> = entries.to_vec();
-    let mut width = run;
-    let n = entries.len();
-    let mut scratch: Vec<T> = Vec::with_capacity(n);
-    while width < n {
-        scratch.clear();
-        let mut start = 0;
-        while start < n {
-            let mid = (start + width).min(n);
-            let end = (start + 2 * width).min(n);
-            let (mut a, mut b) = (start, mid);
-            while a < mid && b < end {
-                if order(&source[a], &source[b]) != std::cmp::Ordering::Greater {
-                    scratch.push(source[a]);
-                    a += 1;
-                } else {
-                    scratch.push(source[b]);
-                    b += 1;
-                }
-            }
-            scratch.extend_from_slice(&source[a..mid]);
-            scratch.extend_from_slice(&source[b..end]);
-            start = end;
-        }
-        std::mem::swap(&mut source, &mut scratch);
-        width *= 2;
-    }
-    entries.copy_from_slice(&source);
-}
-
 /// Incrementally maintained CSR source for [`TrafficGraph`].
 ///
-/// A from-scratch [`DataCorrelation::traffic_graph_exec`] build pays an
+/// A from-scratch [`DataCorrelation::traffic_graph`] build pays an
 /// `O(E log E)` ordering sort plus fresh allocations every slot, even
 /// though the *structure* of the adjacency only changes by the slot's
 /// churn. This cache keeps the directed edge list sorted by
@@ -527,49 +469,6 @@ mod tests {
                 assert!((edge.target as usize) < half.len());
             }
         }
-    }
-
-    #[test]
-    fn graph_build_is_thread_count_invariant() {
-        use geoplace_types::Parallelism;
-        let fleet = fleet();
-        let arena = VmArena::from_ids(fleet.active());
-        let data = fleet.data_correlation();
-        let reference = data.traffic_graph(&arena);
-        for threads in [1usize, 2, 3, 8] {
-            let graph = data.traffic_graph_exec(&arena, Exec::new(Parallelism::Threads(threads)));
-            assert_eq!(graph, reference, "t={threads}");
-        }
-    }
-
-    #[test]
-    fn deterministic_sort_matches_serial_sort() {
-        // Force the merge path with a tiny run by sorting many unique
-        // keys through the public graph API *and* directly.
-        let mut entries: Vec<(u32, TrafficEdge)> = (0..5000u32)
-            .rev()
-            .map(|k| {
-                (
-                    k % 97,
-                    TrafficEdge {
-                        target: k,
-                        out_rate: f64::from(k),
-                        in_rate: 0.0,
-                    },
-                )
-            })
-            .collect();
-        let mut expected = entries.clone();
-        let order = |a: &(u32, TrafficEdge), b: &(u32, TrafficEdge)| {
-            a.0.cmp(&b.0).then_with(|| a.1.target.cmp(&b.1.target))
-        };
-        expected.sort_unstable_by(order);
-        sort_deterministic(
-            &mut entries,
-            Exec::new(geoplace_types::Parallelism::Threads(4)),
-            order,
-        );
-        assert_eq!(entries, expected);
     }
 
     #[test]

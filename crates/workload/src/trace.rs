@@ -4,7 +4,7 @@
 //! day and extends it to 7 days "by adding statistical variance with the
 //! same mean as the original traces". Real traces are proprietary, so this
 //! module generates *deterministic, procedural* traces with the same
-//! structure (see DESIGN.md §2):
+//! structure:
 //!
 //! * **Web-serving** VMs follow a diurnal sine-like load curve — VMs serving
 //!   the same user population share the curve's *phase*, which is exactly

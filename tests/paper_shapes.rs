@@ -54,8 +54,8 @@ fn fig1_proposed_has_lowest_cost_and_ener_aware_highest() {
     let net = totals_of(&reports, "Net-aware").cost_eur;
     // Proposed clearly beats the packers. Against Net-aware the gap only
     // opens over a full week (the batteries start full and mask the price
-    // play for the first days — see `repro_all` / EXPERIMENTS.md); at this
-    // 2-day CI scale we assert Proposed stays within 10 % of it.
+    // play for the first days — see `repro all`); at this 2-day CI scale
+    // we assert Proposed stays within 10 % of it.
     assert!(
         proposed < pri && proposed < ener,
         "Proposed must beat the packers: P={proposed:.1} E={ener:.1} Pri={pri:.1}"
@@ -67,7 +67,7 @@ fn fig1_proposed_has_lowest_cost_and_ener_aware_highest() {
     // The most expensive policy is always one of the single-DC packers
     // (which one flips with the horizon: over a full week Ener-aware's
     // Lisbon camp loses; over two days Pri-aware's battery-less hopping
-    // loses — see EXPERIMENTS.md for the weekly ordering).
+    // loses — `repro fig1` prints the weekly ordering).
     let worst = ener.max(pri).max(net).max(proposed);
     assert!(
         worst == ener || worst == pri,
