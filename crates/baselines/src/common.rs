@@ -1,5 +1,6 @@
 //! Helpers shared by the baseline policies.
 
+use geoplace_core::local::UTILIZATION_THRESHOLD;
 use geoplace_dcsim::decision::ServerAssignment;
 use geoplace_dcsim::power::ServerPowerModel;
 use geoplace_dcsim::snapshot::SystemSnapshot;
@@ -14,12 +15,11 @@ pub fn plain_ffd(
     snapshot: &SystemSnapshot<'_>,
     model: &ServerPowerModel,
     max_servers: u32,
-    utilization_threshold: f64,
 ) -> Vec<ServerAssignment> {
     if positions.is_empty() || max_servers == 0 {
         return Vec::new();
     }
-    let capacity = model.capacity_cores(model.max_level()) * utilization_threshold;
+    let capacity = model.capacity_cores(model.max_level()) * UTILIZATION_THRESHOLD;
     let mut order: Vec<(usize, f64)> = positions
         .iter()
         .map(|&p| (p, snapshot.peak_load(p)))
@@ -72,8 +72,8 @@ pub fn plain_ffd(
 
 /// Physical compute capacity of a DC in top-frequency core-equivalents,
 /// derated by the packing threshold.
-pub fn dc_core_capacity(servers: u32, model: &ServerPowerModel, utilization_threshold: f64) -> f64 {
-    f64::from(servers) * model.capacity_cores(model.max_level()) * utilization_threshold
+pub fn dc_core_capacity(servers: u32, model: &ServerPowerModel) -> f64 {
+    f64::from(servers) * model.capacity_cores(model.max_level()) * UTILIZATION_THRESHOLD
 }
 
 /// Disjoint-set union over dense indices (used by Net-aware to find
@@ -128,7 +128,7 @@ mod tests {
         );
         let snapshot = fixture.snapshot();
         let model = geoplace_dcsim::power::ServerPowerModel::xeon_e5410();
-        let out = plain_ffd(&[0, 1], &snapshot, &model, 10, 0.9);
+        let out = plain_ffd(&[0, 1], &snapshot, &model, 10);
         assert_eq!(out.len(), 2, "peak reservation must refuse to pair them");
         // The correlation-aware allocator pairs them (see geoplace-core).
         let smart = geoplace_core::local::allocate(
@@ -146,7 +146,7 @@ mod tests {
         let fixture = SnapshotFixture::new(vec![(0, vec![0.2; 4])], vec![2]);
         let snapshot = fixture.snapshot();
         let model = geoplace_dcsim::power::ServerPowerModel::xeon_e5410();
-        let out = plain_ffd(&[0], &snapshot, &model, 10, 0.9);
+        let out = plain_ffd(&[0], &snapshot, &model, 10);
         assert_eq!(out[0].freq, model.max_level());
     }
 
@@ -158,7 +158,7 @@ mod tests {
         );
         let snapshot = fixture.snapshot();
         let model = geoplace_dcsim::power::ServerPowerModel::xeon_e5410();
-        let out = plain_ffd(&[0, 1, 2, 3, 4], &snapshot, &model, 2, 0.9);
+        let out = plain_ffd(&[0, 1, 2, 3, 4], &snapshot, &model, 2);
         assert_eq!(out.len(), 2);
         let total: usize = out.iter().map(|s| s.vms.len()).sum();
         assert_eq!(total, 5);
@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn dc_capacity_scales_with_servers() {
         let model = geoplace_dcsim::power::ServerPowerModel::xeon_e5410();
-        let c = dc_core_capacity(100, &model, 0.9);
-        assert!((c - 100.0 * 8.0 * 0.9).abs() < 1e-9);
+        let c = dc_core_capacity(100, &model);
+        assert!((c - 100.0 * 8.0 * UTILIZATION_THRESHOLD).abs() < 1e-9);
     }
 }

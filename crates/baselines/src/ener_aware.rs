@@ -61,13 +61,7 @@ impl GlobalPolicy for EnerAwarePolicy {
                 .then(a.0.cmp(&b.0))
         });
         let capacities: Vec<f64> = (0..n_dcs)
-            .map(|dc| {
-                dc_core_capacity(
-                    snapshot.dcs[dc].servers,
-                    &snapshot.dcs[dc].power_model,
-                    self.local.utilization_threshold,
-                )
-            })
+            .map(|dc| dc_core_capacity(snapshot.dcs[dc].servers, &snapshot.dcs[dc].power_model))
             .collect();
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); n_dcs];
         let mut used = vec![0.0f64; n_dcs];

@@ -29,16 +29,13 @@ use std::collections::BTreeMap;
 /// assert_eq!(NetAwarePolicy::new().name(), "Net-aware");
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct NetAwarePolicy {
-    utilization_threshold: f64,
-}
+pub struct NetAwarePolicy;
 
 impl NetAwarePolicy {
-    /// Creates the policy with the standard 90 % packing threshold.
+    /// Creates the policy; it packs at the shared
+    /// [`UTILIZATION_THRESHOLD`](geoplace_core::local::UTILIZATION_THRESHOLD).
     pub fn new() -> Self {
-        NetAwarePolicy {
-            utilization_threshold: 0.9,
-        }
+        NetAwarePolicy
     }
 }
 
@@ -102,13 +99,7 @@ impl GlobalPolicy for NetAwarePolicy {
         // not weight by DC size, prices or energy sources, which is
         // exactly the blindness the paper's evaluation exposes.
         let capacities: Vec<f64> = (0..n_dcs)
-            .map(|dc| {
-                dc_core_capacity(
-                    snapshot.dcs[dc].servers,
-                    &snapshot.dcs[dc].power_model,
-                    self.utilization_threshold,
-                )
-            })
+            .map(|dc| dc_core_capacity(snapshot.dcs[dc].servers, &snapshot.dcs[dc].power_model))
             .collect();
         let mut members_by_dc: Vec<Vec<usize>> = vec![Vec::new(); n_dcs];
         let mut used = vec![0.0f64; n_dcs];
@@ -143,7 +134,6 @@ impl GlobalPolicy for NetAwarePolicy {
                 snapshot,
                 &snapshot.dcs[dc_index].power_model,
                 snapshot.dcs[dc_index].servers,
-                self.utilization_threshold,
             ) {
                 decision.push(dc, assignment);
             }
@@ -177,7 +167,6 @@ mod tests {
         let specs: Vec<_> = (0..k).map(|i| fleet.vm(VmId(i)).unwrap().clone()).collect();
         let mut data = DataCorrelation::new(DataCorrelationConfig {
             cross_links_per_vm: 0,
-            ..DataCorrelationConfig::default()
         });
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         data.connect_arrivals(&specs, &specs, &mut rng);

@@ -27,16 +27,13 @@ use geoplace_types::DcId;
 /// assert_eq!(policy.name(), "Pri-aware");
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct PriAwarePolicy {
-    utilization_threshold: f64,
-}
+pub struct PriAwarePolicy;
 
 impl PriAwarePolicy {
-    /// Creates the policy with the standard 90 % packing threshold.
+    /// Creates the policy; it packs at the shared
+    /// [`UTILIZATION_THRESHOLD`](geoplace_core::local::UTILIZATION_THRESHOLD).
     pub fn new() -> Self {
-        PriAwarePolicy {
-            utilization_threshold: 0.9,
-        }
+        PriAwarePolicy
     }
 }
 
@@ -77,11 +74,8 @@ impl GlobalPolicy for PriAwarePolicy {
         for &(pos, peak) in &vm_order {
             let mut placed = false;
             for &dc in &dc_order {
-                let capacity = dc_core_capacity(
-                    snapshot.dcs[dc].servers,
-                    &snapshot.dcs[dc].power_model,
-                    self.utilization_threshold,
-                );
+                let capacity =
+                    dc_core_capacity(snapshot.dcs[dc].servers, &snapshot.dcs[dc].power_model);
                 if used[dc] + peak <= capacity {
                     members[dc].push(pos);
                     used[dc] += peak;
@@ -104,7 +98,6 @@ impl GlobalPolicy for PriAwarePolicy {
                 snapshot,
                 &snapshot.dcs[dc_index].power_model,
                 snapshot.dcs[dc_index].servers,
-                self.utilization_threshold,
             ) {
                 decision.push(dc, assignment);
             }

@@ -15,6 +15,9 @@
 //! * `--update` — rewrite the golden file from this run (quick mode
 //!   only, so the committed goldens stay the CI shape).
 //!
+//! `--check` or `--update` without `--quick`, and `--update` with
+//! `--scenario`, exit 2 before running any cell.
+//!
 //! `--scenario NAME` narrows the matrix to one preset's rows (all
 //! other flags compose); `--seed` picks the seed outside `--quick`
 //! (inside it the golden seeds are pinned and an explicit `--seed` is
@@ -83,6 +86,22 @@ fn main() {
     // `--scenario NAME` narrows the matrix to that preset's rows; a
     // bare invocation runs the whole registry.
     let scenario_selected = cli.has("--scenario");
+
+    // Refuse a mode that cannot finish before running any cell.
+    if check && !quick {
+        exit_usage(
+            "--check compares against the committed quick-matrix goldens; run it with --quick",
+        );
+    }
+    if update && !quick {
+        exit_usage("--update only writes the quick-matrix shape; run it with --quick");
+    }
+    if update && scenario_selected {
+        // A narrowed matrix must never rewrite the file: it would
+        // silently drop every other preset's committed rows.
+        exit_usage("--update rewrites the whole golden file; drop --scenario");
+    }
+
     let registry: Vec<_> = geoplace_scenarios::registry()
         .into_iter()
         .filter(|spec| !scenario_selected || spec.name == cli.world.name)
@@ -146,16 +165,6 @@ fn main() {
     }
 
     if update {
-        assert!(
-            quick,
-            "--update only writes the quick-matrix shape (run with --quick)"
-        );
-        // A narrowed matrix must never rewrite the file: it would
-        // silently drop every other preset's committed rows.
-        assert!(
-            !scenario_selected,
-            "--update rewrites the whole golden file; drop --scenario"
-        );
         let rows: Vec<String> = cells
             .iter()
             .map(|cell| golden_row(cell.scenario, cell.policy, cell.seed, &cell.digest))
@@ -169,10 +178,6 @@ fn main() {
     }
 
     if check {
-        assert!(
-            quick,
-            "--check compares against the committed quick-matrix goldens (run with --quick)"
-        );
         let committed = std::fs::read_to_string(golden_digests_path())
             .unwrap_or_else(|e| panic!("read {}: {e}", golden_digests_path().display()));
         let golden = parse_golden_file(&committed);

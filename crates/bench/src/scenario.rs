@@ -275,15 +275,10 @@ const SPARSE_SCALE_PROBE_LIMIT: usize = 32;
 /// logic everywhere, but fleets large enough for the sparse pipeline
 /// (per the scenario's own crossover) also bound the local packer's
 /// window probes so the per-slot cost stays O(n·(servers + limit·w)).
-/// The scenario's [`Parallelism`](geoplace_types::Parallelism) setting
-/// carries over so the engine's and the policy's kernels share one
-/// thread budget. Every harness entry point (`run_policy`, `run_all`,
-/// `repro`'s `--stress`/`--paper` scales) routes through this.
+/// Every harness entry point (`run_policy`, `run_all`, `repro`'s
+/// `--stress`/`--paper` scales) routes through this.
 pub fn proposed_config_for(config: &ScenarioConfig) -> ProposedConfig {
-    let mut proposed = ProposedConfig {
-        parallelism: config.parallelism,
-        ..ProposedConfig::default()
-    };
+    let mut proposed = ProposedConfig::default();
     let expected = config.fleet.arrivals.expected_population() as usize;
     if config.sparsity.use_sparse(expected) {
         proposed.local.probe_limit = SPARSE_SCALE_PROBE_LIMIT;
@@ -410,8 +405,10 @@ pub fn quick_matrix_config(spec: &WorldSpec, seed: u64) -> ScenarioConfig {
     spec.apply(base)
 }
 
-/// Runs one policy with the engine's and the policy's kernels pinned to
-/// `threads` workers — the executor contract says the report must be
+/// Runs one policy with every kernel pinned to `threads` workers: the
+/// scenario's [`Parallelism`](geoplace_types::Parallelism) is the one
+/// thread budget, and the engine hands it to the policy with each
+/// snapshot. The executor contract says the report must be
 /// bit-identical to any other thread count.
 pub fn run_policy_threads(
     config: &ScenarioConfig,

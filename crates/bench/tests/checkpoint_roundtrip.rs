@@ -23,7 +23,7 @@ use geoplace_bench::scenario::{
 };
 use geoplace_dcsim::checkpoint::{checkpoint_with_policy, restore_with_policy};
 use geoplace_dcsim::config::ScenarioConfig;
-use geoplace_dcsim::engine::{Scenario, Simulator};
+use geoplace_dcsim::engine::Scenario;
 use geoplace_dcsim::stepper::SlotStepper;
 use geoplace_dcsim::testkit::assert_observation_matches_rebuild;
 use geoplace_types::snap::Checkpoint;
@@ -31,7 +31,7 @@ use geoplace_types::Parallelism;
 use geoplace_workload::source::SyntheticSource;
 
 fn fresh_stepper(config: &ScenarioConfig) -> SlotStepper {
-    Simulator::new(Scenario::build(config).expect("golden config must be valid")).into_stepper()
+    SlotStepper::new(Scenario::build(config).expect("golden config must be valid"))
 }
 
 /// Runs `config` with `kind`, interrupting at `ck_slot`: freeze,

@@ -29,9 +29,10 @@ use common::run_checked;
 use geoplace_bench::scenario::{policy_for, PolicyKind};
 use geoplace_dcsim::checkpoint::{checkpoint_with_policy, restore_with_policy};
 use geoplace_dcsim::config::ScenarioConfig;
-use geoplace_dcsim::engine::{Scenario, Simulator};
+use geoplace_dcsim::engine::Scenario;
 use geoplace_dcsim::events::{effective_servers, EngineEvent, EventKind};
 use geoplace_dcsim::metrics::SimulationReport;
+use geoplace_dcsim::stepper::SlotStepper;
 use geoplace_dcsim::testkit::assert_observation_matches_rebuild;
 use geoplace_types::snap::Checkpoint;
 use geoplace_types::time::TimeSlot;
@@ -287,7 +288,7 @@ proptest! {
         prop_assert!(config.validate().is_ok(), "fuzzed config invalid: {:?}", config.validate());
 
         // Uninterrupted reference, recording every slot's state hash.
-        let mut stepper = Simulator::new(Scenario::build(&config).unwrap()).into_stepper();
+        let mut stepper = SlotStepper::new(Scenario::build(&config).unwrap());
         let mut policy = policy_for(&config, PolicyKind::Proposed);
         let mut source = SyntheticSource;
         let mut reference_hashes = Vec::new();
@@ -301,7 +302,7 @@ proptest! {
 
         // Interrupted run: freeze at ck_slot, codec round-trip, restore
         // into entirely fresh state, resume to the horizon.
-        let mut stepper = Simulator::new(Scenario::build(&config).unwrap()).into_stepper();
+        let mut stepper = SlotStepper::new(Scenario::build(&config).unwrap());
         let mut policy = policy_for(&config, PolicyKind::Proposed);
         for _ in 0..ck_slot {
             stepper.advance_world(&mut source).unwrap();
@@ -316,7 +317,7 @@ proptest! {
             "checkpoint hash at slot {} diverged from the uninterrupted run",
             ck_slot
         );
-        let mut resumed = Simulator::new(Scenario::build(&config).unwrap()).into_stepper();
+        let mut resumed = SlotStepper::new(Scenario::build(&config).unwrap());
         let mut fresh = policy_for(&config, PolicyKind::Proposed);
         restore_with_policy(&mut resumed, &mut *fresh, &ck).unwrap();
         let mut resumed_hashes = Vec::new();

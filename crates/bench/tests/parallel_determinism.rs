@@ -16,8 +16,8 @@ use geoplace_core::ProposedConfig;
 use geoplace_dcsim::metrics::SimulationReport;
 use geoplace_types::Parallelism;
 
-/// One full day-scale run with both the engine's and the policy's
-/// kernels pinned to `threads` workers.
+/// One full day-scale run with every kernel, the engine's and the
+/// policy's, pinned to `threads` workers.
 fn day_run(seed: u64, sparse: bool, threads: usize) -> SimulationReport {
     let mut config = Scale::Bench.config(seed);
     config.horizon_slots = 24;
@@ -25,11 +25,7 @@ fn day_run(seed: u64, sparse: bool, threads: usize) -> SimulationReport {
     if sparse {
         config.sparsity.dense_crossover = 0;
     }
-    let proposed = ProposedConfig {
-        parallelism: Parallelism::Threads(threads),
-        ..ProposedConfig::default()
-    };
-    run_proposed_with(&config, proposed)
+    run_proposed_with(&config, ProposedConfig::default())
 }
 
 /// Multi-seed paired sweep: per seed, every thread count must reproduce

@@ -2,21 +2,29 @@
 //! exactly the flags that change its output, and anything else exits 2
 //! naming the offender before any work starts. The experiment list is
 //! read from bare `repro`'s own listing, so a new experiment is covered
-//! without touching this file.
+//! without touching this file. `scenario_matrix` is held to the same
+//! rule for the flag combinations it cannot finish.
 
 use std::process::Command;
 
-/// Runs `repro` with `args`; returns (exit code, stdout, stderr).
-fn repro(args: &[&str]) -> (i32, String, String) {
-    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+const REPRO: &str = env!("CARGO_BIN_EXE_repro");
+
+/// Runs `bin` with `args`; returns (exit code, stdout, stderr).
+fn spawn(bin: &str, args: &[&str]) -> (i32, String, String) {
+    let output = Command::new(bin)
         .args(args)
         .output()
-        .expect("spawn repro");
+        .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
     (
         output.status.code().unwrap_or(-1),
         String::from_utf8_lossy(&output.stdout).into_owned(),
         String::from_utf8_lossy(&output.stderr).into_owned(),
     )
+}
+
+/// Runs `repro` with `args`.
+fn repro(args: &[&str]) -> (i32, String, String) {
+    spawn(REPRO, args)
 }
 
 /// The experiment names bare `repro` lists on stderr.
@@ -40,10 +48,10 @@ fn experiments() -> Vec<String> {
     names
 }
 
-/// Asserts a command line is refused before any output: exit 2, empty
-/// stdout, and `offender` named on stderr.
-fn assert_refused(args: &[&str], offender: &str) {
-    let (code, stdout, stderr) = repro(args);
+/// Asserts a command line of `bin` is refused before any output: exit 2,
+/// empty stdout, and `offender` named on stderr.
+fn assert_refused(bin: &str, args: &[&str], offender: &str) {
+    let (code, stdout, stderr) = spawn(bin, args);
     assert_eq!(code, 2, "{args:?}: {stderr}");
     assert!(
         stderr.contains(offender),
@@ -55,7 +63,7 @@ fn assert_refused(args: &[&str], offender: &str) {
 #[test]
 fn every_experiment_rejects_an_unknown_flag() {
     for name in experiments() {
-        assert_refused(&[&name, "--bogus"], "--bogus");
+        assert_refused(REPRO, &[&name, "--bogus"], "--bogus");
     }
 }
 
@@ -69,13 +77,13 @@ fn flags_an_experiment_would_ignore_exit_2_naming_themselves() {
         &["pipeline_agreement", "--stress"],
         &["pipeline_agreement", "--seed", "7"],
     ] {
-        assert_refused(args, args[1]);
+        assert_refused(REPRO, args, args[1]);
     }
 }
 
 #[test]
 fn a_repeated_flag_exits_2_naming_it() {
-    assert_refused(&["fig4", "--seed", "1", "--seed", "2"], "--seed");
+    assert_refused(REPRO, &["fig4", "--seed", "1", "--seed", "2"], "--seed");
 }
 
 #[test]
@@ -103,4 +111,19 @@ fn table1_follows_its_scale_flag() {
         bench, paper,
         "--bench and --paper must print different fleets"
     );
+}
+
+#[test]
+fn scenario_matrix_refuses_unfinishable_modes_before_running() {
+    let bin = env!("CARGO_BIN_EXE_scenario_matrix");
+    for (args, offender) in [
+        (&["--check"][..], "--check"),
+        (&["--update"], "--update"),
+        (
+            &["--quick", "--update", "--scenario", "paper"],
+            "--scenario",
+        ),
+    ] {
+        assert_refused(bin, args, offender);
+    }
 }

@@ -47,6 +47,7 @@
 //! VM ids, so the layout is invariant to how the caller enumerated the
 //! fleet.
 
+use geoplace_types::hash::hash_u64;
 use geoplace_types::{Exec, VmArena, VmId};
 use geoplace_workload::cpucorr::CpuCorrelationMatrix;
 use geoplace_workload::graph::TrafficGraph;
@@ -69,6 +70,13 @@ impl Point {
     }
 }
 
+/// Displacement time period `t` of Eq. 6.
+const TIMESTEP: f64 = 1.0;
+
+/// Maximum per-iteration displacement (stabilizer; forces are normalized
+/// by the fleet size and clamped to this step).
+const MAX_STEP: f64 = 2.0;
+
 /// Tuning of the force layout.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ForceLayoutConfig {
@@ -77,11 +85,6 @@ pub struct ForceLayoutConfig {
     pub alpha: f64,
     /// Hard iteration cap.
     pub max_iterations: usize,
-    /// Displacement time period `t` of Eq. 6.
-    pub timestep: f64,
-    /// Maximum per-iteration displacement (stabilizer; forces are
-    /// normalized by the fleet size and clamped to this step).
-    pub max_step: f64,
     /// Far-field grid resolution per axis of the sparse path
     /// (`grid_dim²` cells).
     pub grid_dim: usize,
@@ -92,8 +95,6 @@ impl Default for ForceLayoutConfig {
         ForceLayoutConfig {
             alpha: 0.5,
             max_iterations: 50,
-            timestep: 1.0,
-            max_step: 2.0,
             grid_dim: 8,
         }
     }
@@ -172,7 +173,7 @@ impl RawEdge {
 /// use geoplace_core::force::{ForceLayout, ForceLayoutConfig};
 /// use geoplace_workload::fleet::{FleetConfig, VmFleet};
 /// use geoplace_types::time::TimeSlot;
-/// use geoplace_types::VmArena;
+/// use geoplace_types::{Exec, VmArena};
 ///
 /// let mut fleet = VmFleet::new(FleetConfig::default())?;
 /// let windows = fleet.windows(TimeSlot(0));
@@ -180,7 +181,7 @@ impl RawEdge {
 /// let cpu = geoplace_workload::cpucorr::CpuCorrelationMatrix::compute(&windows);
 /// let traffic = fleet.data_correlation().traffic_graph(&arena);
 /// let mut layout = ForceLayout::new(ForceLayoutConfig::default(), 42);
-/// let positions = layout.update(&arena, &cpu, &traffic).to_vec();
+/// let positions = layout.update(&arena, &cpu, &traffic, Exec::serial()).to_vec();
 /// assert_eq!(positions.len(), windows.len());
 /// # Ok::<(), geoplace_types::Error>(())
 /// ```
@@ -192,12 +193,10 @@ pub struct ForceLayout {
     /// Iterations executed by the most recent [`ForceLayout::update`].
     last_iterations: usize,
     scratch: Scratch,
-    exec: Exec,
 }
 
 impl ForceLayout {
     /// Creates an empty layout; `seed` scatters the initial positions.
-    /// Kernels run single-threaded — see [`ForceLayout::with_exec`].
     pub fn new(config: ForceLayoutConfig, seed: u64) -> Self {
         ForceLayout {
             config,
@@ -205,18 +204,7 @@ impl ForceLayout {
             seed,
             last_iterations: 0,
             scratch: Scratch::default(),
-            exec: Exec::serial(),
         }
-    }
-
-    /// Fans the per-VM force accumulation out over an execution context.
-    /// Each VM's resultant is an independent pure function of the
-    /// previous iteration's positions (the update is Jacobi-style), and
-    /// the Eq. 7 stopping sums stay on the calling thread, so every
-    /// thread count walks the identical iteration trajectory.
-    pub fn with_exec(mut self, exec: Exec) -> Self {
-        self.exec = exec;
-        self
     }
 
     /// The configuration.
@@ -255,11 +243,18 @@ impl ForceLayout {
     /// update). Departed VMs are pruned; new VMs enter at deterministic
     /// scattered positions. The dense or sparse path is selected by the
     /// representation of `cpu_corr`.
+    ///
+    /// The per-VM force accumulation fans out over `exec`. Each VM's
+    /// resultant is an independent pure function of the previous
+    /// iteration's positions (the update is Jacobi-style), and the Eq. 7
+    /// stopping sums stay on the calling thread, so every thread count
+    /// walks the identical iteration trajectory.
     pub fn update(
         &mut self,
         arena: &VmArena,
         cpu_corr: &CpuCorrelationMatrix,
         traffic: &TrafficGraph,
+        exec: Exec,
     ) -> &[Point] {
         let ids = arena.ids();
         let n = ids.len();
@@ -289,9 +284,9 @@ impl ForceLayout {
             .sort_unstable_by_key(|&i| ids[i as usize]);
 
         if cpu_corr.is_sparse() {
-            self.update_sparse(arena, cpu_corr, traffic);
+            self.update_sparse(arena, cpu_corr, traffic, exec);
         } else {
-            self.update_dense(arena, cpu_corr, traffic);
+            self.update_dense(arena, cpu_corr, traffic, exec);
         }
 
         for (vm, point) in ids.iter().zip(self.scratch.points.iter()) {
@@ -307,13 +302,12 @@ impl ForceLayout {
         arena: &VmArena,
         cpu_corr: &CpuCorrelationMatrix,
         traffic: &TrafficGraph,
+        exec: Exec,
     ) {
         let ids = arena.ids();
         let n = ids.len();
         let alpha = self.config.alpha;
         let seed = self.seed;
-        let max_step = self.config.max_step;
-        let exec = self.exec;
         let scratch = &mut self.scratch;
         let pairs = n * (n - 1) / 2;
         scratch.pair_dist.clear();
@@ -325,7 +319,7 @@ impl ForceLayout {
         scratch.steps.clear();
         scratch.steps.resize(n, (0.0, 0.0));
         let mut prev_cost: Option<f64> = None;
-        let scale = displacement_scale(&self.config, n);
+        let scale = displacement_scale(n);
         let mut iterations = 0;
         for k in 0..self.config.max_iterations {
             iterations = k + 1;
@@ -369,7 +363,7 @@ impl ForceLayout {
                         fx += f * dx;
                         fy += f * dy;
                     }
-                    *step = clamp_step(fx * scale, fy * scale, max_step);
+                    *step = clamp_step(fx * scale, fy * scale);
                 });
             }
             scratch.next.clear();
@@ -419,13 +413,12 @@ impl ForceLayout {
         arena: &VmArena,
         cpu_corr: &CpuCorrelationMatrix,
         traffic: &TrafficGraph,
+        exec: Exec,
     ) {
         let ids = arena.ids();
         let n = ids.len();
         let alpha = self.config.alpha;
         let seed = self.seed;
-        let max_step = self.config.max_step;
-        let exec = self.exec;
         let baseline = f64::from(cpu_corr.baseline());
         let grid_dim = self.config.grid_dim.max(1);
         let cells = grid_dim * grid_dim;
@@ -492,7 +485,7 @@ impl ForceLayout {
         scratch.steps.resize(n, (0.0, 0.0));
 
         let mut prev_cost: Option<f64> = None;
-        let scale = displacement_scale(&self.config, n);
+        let scale = displacement_scale(n);
         let mut iterations = 0;
         for k in 0..self.config.max_iterations {
             iterations = k + 1;
@@ -591,7 +584,7 @@ impl ForceLayout {
                         fx += f * dx;
                         fy += f * dy;
                     }
-                    *step = clamp_step(fx * scale, fy * scale, max_step);
+                    *step = clamp_step(fx * scale, fy * scale);
                 });
             }
             scratch.next.clear();
@@ -625,16 +618,16 @@ impl ForceLayout {
 /// distance-independent pair forces the directions of n−1 contributions
 /// largely cancel, so the typical magnitude grows like √n; dividing by n
 /// would freeze large fleets, dividing by 1 would explode them.
-/// `max_step` guards the tail.
-fn displacement_scale(config: &ForceLayoutConfig, n: usize) -> f64 {
-    0.5 * config.timestep * config.timestep / (n as f64).sqrt()
+/// [`MAX_STEP`] guards the tail.
+fn displacement_scale(n: usize) -> f64 {
+    0.5 * TIMESTEP * TIMESTEP / (n as f64).sqrt()
 }
 
-/// Clamps a displacement to `max_step`.
-fn clamp_step(step_x: f64, step_y: f64, max_step: f64) -> (f64, f64) {
+/// Clamps a displacement to [`MAX_STEP`].
+fn clamp_step(step_x: f64, step_y: f64) -> (f64, f64) {
     let step = (step_x * step_x + step_y * step_y).sqrt();
-    if step > max_step {
-        let shrink = max_step / step;
+    if step > MAX_STEP {
+        let shrink = MAX_STEP / step;
         (step_x * shrink, step_y * shrink)
     } else {
         (step_x, step_y)
@@ -643,7 +636,7 @@ fn clamp_step(step_x: f64, step_y: f64, max_step: f64) -> (f64, f64) {
 
 /// Deterministic scatter position for a new VM.
 fn scatter(seed: u64, vm: VmId) -> Point {
-    let h = hash(seed, u64::from(vm.0));
+    let h = hash_u64(seed, u64::from(vm.0));
     let x = ((h >> 11) & 0xFFFF) as f64 / 65535.0 * 10.0;
     let y = ((h >> 31) & 0xFFFF) as f64 / 65535.0 * 10.0;
     Point { x, y }
@@ -665,7 +658,7 @@ fn direction(from: Point, to: Point, seed: u64, tie: u64) -> (f64, f64) {
     let dy = to.y - from.y;
     let len = (dx * dx + dy * dy).sqrt();
     if len < 1e-12 {
-        let h = hash(seed, tie);
+        let h = hash_u64(seed, tie);
         let angle = (h & 0xFFFF) as f64 / 65535.0 * std::f64::consts::TAU;
         return (angle.cos(), angle.sin());
     }
@@ -688,14 +681,6 @@ fn fill_pair_distances(points: &[Point], out: &mut [f64]) {
         }
     }
     debug_assert_eq!(idx, out.len());
-}
-
-fn hash(seed: u64, n: u64) -> u64 {
-    let mut x = seed.wrapping_mul(0x9E37_79B9).wrapping_add(n);
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]
@@ -728,7 +713,9 @@ mod tests {
         let cpu = CpuCorrelationMatrix::compute(&windows);
         let (arena, traffic) = graph_for(&windows, fleet.data_correlation());
         let mut layout = ForceLayout::new(ForceLayoutConfig::default(), 1);
-        let points = layout.update(&arena, &cpu, &traffic).to_vec();
+        let points = layout
+            .update(&arena, &cpu, &traffic, Exec::serial())
+            .to_vec();
         assert_eq!(points.len(), windows.len());
         for p in &points {
             assert!(p.x.is_finite() && p.y.is_finite());
@@ -744,7 +731,9 @@ mod tests {
         let cpu = CpuCorrelationMatrix::compute(&windows);
         let (arena, traffic) = graph_for(&windows, fleet.data_correlation());
         let mut layout = ForceLayout::new(ForceLayoutConfig::default(), 1);
-        let first = layout.update(&arena, &cpu, &traffic).to_vec();
+        let first = layout
+            .update(&arena, &cpu, &traffic, Exec::serial())
+            .to_vec();
         // Next slot: the previous final positions are the new initial ones.
         let vm0 = windows.ids()[0];
         assert_eq!(layout.position(vm0).unwrap().x, first[0].x);
@@ -788,7 +777,9 @@ mod tests {
             },
             7,
         );
-        let points = layout.update(&arena, &cpu, &traffic).to_vec();
+        let points = layout
+            .update(&arena, &cpu, &traffic, Exec::serial())
+            .to_vec();
         let talkers = points[0].distance(&points[1]);
         let peakers = points[2].distance(&points[3]);
         assert!(
@@ -805,7 +796,7 @@ mod tests {
         let cpu = CpuCorrelationMatrix::compute(&windows);
         let (arena, traffic) = graph_for(&windows, fleet.data_correlation());
         let mut layout = ForceLayout::new(ForceLayoutConfig::default(), 1);
-        layout.update(&arena, &cpu, &traffic);
+        layout.update(&arena, &cpu, &traffic, Exec::serial());
         let gone = windows.ids()[0];
         let remaining: Vec<VmId> = windows.ids()[1..].to_vec();
         let sub_windows = UtilizationWindows::from_rows(
@@ -816,7 +807,7 @@ mod tests {
         );
         let sub_cpu = CpuCorrelationMatrix::compute(&sub_windows);
         let (sub_arena, sub_traffic) = graph_for(&sub_windows, fleet.data_correlation());
-        layout.update(&sub_arena, &sub_cpu, &sub_traffic);
+        layout.update(&sub_arena, &sub_cpu, &sub_traffic, Exec::serial());
         assert!(layout.position(gone).is_none());
     }
 
@@ -827,7 +818,9 @@ mod tests {
         let data = DataCorrelation::new(DataCorrelationConfig::default());
         let (arena, traffic) = graph_for(&windows, &data);
         let mut layout = ForceLayout::new(ForceLayoutConfig::default(), 1);
-        let points = layout.update(&arena, &cpu, &traffic).to_vec();
+        let points = layout
+            .update(&arena, &cpu, &traffic, Exec::serial())
+            .to_vec();
         assert_eq!(points.len(), 1);
         assert_eq!(layout.last_iterations(), 0);
     }
@@ -841,7 +834,7 @@ mod tests {
             let (arena, traffic) = graph_for(&windows, fleet.data_correlation());
             let mut layout = ForceLayout::new(ForceLayoutConfig::default(), 1);
             layout
-                .update(&arena, &cpu, &traffic)
+                .update(&arena, &cpu, &traffic, Exec::serial())
                 .iter()
                 .map(|p| (p.x, p.y))
                 .collect::<Vec<_>>()
@@ -868,7 +861,9 @@ mod tests {
         let before_a = scatter(3, VmId(0));
         let before_b = scatter(3, VmId(1));
         let initial = before_a.distance(&before_b);
-        let points = layout.update(&arena, &cpu, &traffic).to_vec();
+        let points = layout
+            .update(&arena, &cpu, &traffic, Exec::serial())
+            .to_vec();
         let after = points[0].distance(&points[1]);
         assert!(
             (after - initial).abs() < 1e-9,
@@ -900,7 +895,9 @@ mod tests {
         let arena = VmArena::from_ids(windows.ids());
         let traffic = data.traffic_graph(&arena);
         let mut layout = ForceLayout::new(ForceLayoutConfig::default(), 11);
-        let points = layout.update(&arena, &cpu, &traffic).to_vec();
+        let points = layout
+            .update(&arena, &cpu, &traffic, Exec::serial())
+            .to_vec();
         windows.ids().iter().copied().zip(points).collect()
     }
 
@@ -976,9 +973,9 @@ mod tests {
                 let data = DataCorrelation::new(DataCorrelationConfig::default());
                 let arena = VmArena::from_ids(windows.ids());
                 let traffic = data.traffic_graph(&arena);
-                let mut layout = ForceLayout::new(ForceLayoutConfig::default(), 11)
-                    .with_exec(Exec::new(Parallelism::Threads(threads)));
-                let points = layout.update(&arena, &cpu, &traffic).to_vec();
+                let mut layout = ForceLayout::new(ForceLayoutConfig::default(), 11);
+                let exec = Exec::new(Parallelism::Threads(threads));
+                let points = layout.update(&arena, &cpu, &traffic, exec).to_vec();
                 (points, layout.last_iterations())
             };
             let (reference, reference_iterations) = run(1);
@@ -1041,7 +1038,9 @@ mod tests {
             },
             7,
         );
-        let points = layout.update(&arena, &cpu, &traffic).to_vec();
+        let points = layout
+            .update(&arena, &cpu, &traffic, Exec::serial())
+            .to_vec();
         assert!(layout.last_iterations() >= 1);
         let talkers = points[0].distance(&points[1]);
         let peakers = points[2].distance(&points[3]);
@@ -1087,9 +1086,13 @@ mod tests {
         };
         let start: Vec<Point> = arena.ids().iter().map(|&vm| scatter(1, vm)).collect();
         let mut dense_layout = ForceLayout::new(config, 1);
-        let dense_pts = dense_layout.update(&arena, &dense_cpu, &traffic).to_vec();
+        let dense_pts = dense_layout
+            .update(&arena, &dense_cpu, &traffic, Exec::serial())
+            .to_vec();
         let mut sparse_layout = ForceLayout::new(config, 1);
-        let sparse_pts = sparse_layout.update(&arena, &sparse_cpu, &traffic).to_vec();
+        let sparse_pts = sparse_layout
+            .update(&arena, &sparse_cpu, &traffic, Exec::serial())
+            .to_vec();
         let mut worst = 0.0f64;
         let mut biggest_step = 0.0f64;
         for i in 0..n {

@@ -32,18 +32,8 @@ pub struct Clustering {
     pub iterations: usize,
 }
 
-/// Tuning of the clustering.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct KMeansConfig {
-    /// Hard iteration cap.
-    pub max_iterations: usize,
-}
-
-impl Default for KMeansConfig {
-    fn default() -> Self {
-        KMeansConfig { max_iterations: 25 }
-    }
-}
+/// Hard iteration cap of the clustering.
+const MAX_ITERATIONS: usize = 25;
 
 /// Runs the capacity-capped k-means.
 ///
@@ -51,7 +41,12 @@ impl Default for KMeansConfig {
 /// * `loads` — per-VM slot energy (J), the "VMs load" of the paper;
 /// * `caps` — per-cluster capacity caps (J);
 /// * `warm_centroids` — previous-slot centroids (paper's warm start), or
-///   `None` at the first slot.
+///   `None` at the first slot;
+/// * `exec` — the execution context the per-iteration point↔centroid
+///   distance matrix fans out over. The capacity-greedy assignment pass
+///   itself is inherently sequential (each choice consumes cluster
+///   capacity) and stays on the calling thread reading the precomputed
+///   distances, so every thread count produces the identical clustering.
 ///
 /// # Panics
 ///
@@ -61,8 +56,9 @@ impl Default for KMeansConfig {
 ///
 /// ```
 /// use geoplace_core::force::Point;
-/// use geoplace_core::kmeans::{kmeans, KMeansConfig};
+/// use geoplace_core::kmeans::kmeans;
 /// use geoplace_types::units::Joules;
+/// use geoplace_types::Exec;
 ///
 /// let points = vec![
 ///     Point { x: 0.0, y: 0.0 },
@@ -71,7 +67,7 @@ impl Default for KMeansConfig {
 /// ];
 /// let loads = vec![Joules(1.0); 3];
 /// let caps = vec![Joules(10.0), Joules(10.0)];
-/// let result = kmeans(&points, &loads, &caps, None, KMeansConfig::default());
+/// let result = kmeans(&points, &loads, &caps, None, Exec::serial());
 /// assert_eq!(result.assignment.len(), 3);
 /// // The two nearby points share a cluster; the far one sits alone.
 /// assert_eq!(result.assignment[0], result.assignment[1]);
@@ -82,23 +78,6 @@ pub fn kmeans(
     loads: &[Joules],
     caps: &[Joules],
     warm_centroids: Option<&[Point]>,
-    config: KMeansConfig,
-) -> Clustering {
-    kmeans_exec(points, loads, caps, warm_centroids, config, Exec::serial())
-}
-
-/// [`kmeans`] on an execution context: the per-iteration point↔centroid
-/// distance matrix fans out across the worker threads. The capacity-
-/// greedy assignment pass itself is inherently sequential (each choice
-/// consumes cluster capacity) and stays on the calling thread reading
-/// the precomputed distances, so every thread count produces the
-/// identical clustering.
-pub fn kmeans_exec(
-    points: &[Point],
-    loads: &[Joules],
-    caps: &[Joules],
-    warm_centroids: Option<&[Point]>,
-    config: KMeansConfig,
     exec: Exec,
 ) -> Clustering {
     assert_eq!(points.len(), loads.len(), "points/loads length mismatch");
@@ -126,7 +105,7 @@ pub fn kmeans_exec(
     let mut cluster_load = vec![Joules::ZERO; k];
     let mut iterations = 0;
     let mut distances: Vec<f64> = Vec::with_capacity(n * k);
-    for iteration in 0..config.max_iterations.max(1) {
+    for iteration in 0..MAX_ITERATIONS {
         iterations = iteration + 1;
         // All point↔centroid distances of this iteration, in parallel —
         // each entry is a pure function of one point and the frozen
@@ -284,7 +263,7 @@ mod tests {
         let points = grid_points();
         let loads = vec![Joules(1.0); 8];
         let caps = vec![Joules(100.0); 2];
-        let r = kmeans(&points, &loads, &caps, None, KMeansConfig::default());
+        let r = kmeans(&points, &loads, &caps, None, Exec::serial());
         let first = r.assignment[0];
         assert!(r.assignment[..4].iter().all(|&c| c == first));
         let second = r.assignment[4];
@@ -304,7 +283,7 @@ mod tests {
             .collect();
         let loads = vec![Joules(1.0); 6];
         let caps = vec![Joules(3.0), Joules(3.0)];
-        let r = kmeans(&points, &loads, &caps, None, KMeansConfig::default());
+        let r = kmeans(&points, &loads, &caps, None, Exec::serial());
         let count0 = r.assignment.iter().filter(|&&c| c == 0).count();
         assert_eq!(count0, 3, "cap must split the blob 3/3");
         for c in 0..2 {
@@ -323,7 +302,7 @@ mod tests {
             .collect();
         let loads = vec![Joules(10.0); 5];
         let caps = vec![Joules(5.0), Joules(5.0)];
-        let r = kmeans(&points, &loads, &caps, None, KMeansConfig::default());
+        let r = kmeans(&points, &loads, &caps, None, Exec::serial());
         assert!(r.assignment.iter().all(|&c| c < 2));
         // Both clusters carry overflow but neither hogs everything.
         assert!(r.cluster_load.iter().all(|l| l.0 > 0.0));
@@ -337,14 +316,14 @@ mod tests {
         // Warm centroids sitting exactly on the blobs: cluster 0 = right
         // blob, cluster 1 = left blob (note the inversion).
         let warm = vec![Point { x: 10.0, y: 10.0 }, Point { x: 0.0, y: 0.0 }];
-        let r = kmeans(&points, &loads, &caps, Some(&warm), KMeansConfig::default());
+        let r = kmeans(&points, &loads, &caps, Some(&warm), Exec::serial());
         assert_eq!(r.assignment[0], 1, "left blob must map to warm cluster 1");
         assert_eq!(r.assignment[4], 0, "right blob must map to warm cluster 0");
     }
 
     #[test]
     fn empty_input_yields_empty_assignment() {
-        let r = kmeans(&[], &[], &[Joules(1.0)], None, KMeansConfig::default());
+        let r = kmeans(&[], &[], &[Joules(1.0)], None, Exec::serial());
         assert!(r.assignment.is_empty());
         assert_eq!(r.centroids.len(), 1);
     }
@@ -357,7 +336,7 @@ mod tests {
         let mut loads = vec![Joules(1.0); 6];
         loads[3] = Joules(5.0);
         let caps = vec![Joules(5.0), Joules(5.0)];
-        let r = kmeans(&points, &loads, &caps, None, KMeansConfig::default());
+        let r = kmeans(&points, &loads, &caps, None, Exec::serial());
         let heavy_cluster = r.assignment[3];
         let heavy_cluster_load = r.cluster_load[heavy_cluster];
         assert!(
@@ -371,8 +350,8 @@ mod tests {
         let points = grid_points();
         let loads = vec![Joules(2.0); 8];
         let caps = vec![Joules(100.0), Joules(100.0)];
-        let a = kmeans(&points, &loads, &caps, None, KMeansConfig::default());
-        let b = kmeans(&points, &loads, &caps, None, KMeansConfig::default());
+        let a = kmeans(&points, &loads, &caps, None, Exec::serial());
+        let b = kmeans(&points, &loads, &caps, None, Exec::serial());
         assert_eq!(a, b);
     }
 
@@ -387,14 +366,13 @@ mod tests {
             .collect();
         let loads: Vec<Joules> = (0..300).map(|i| Joules(1.0 + f64::from(i % 7))).collect();
         let caps = vec![Joules(400.0), Joules(400.0), Joules(400.0)];
-        let reference = kmeans(&points, &loads, &caps, None, KMeansConfig::default());
+        let reference = kmeans(&points, &loads, &caps, None, Exec::serial());
         for threads in [1usize, 2, 8] {
-            let clustered = kmeans_exec(
+            let clustered = kmeans(
                 &points,
                 &loads,
                 &caps,
                 None,
-                KMeansConfig::default(),
                 Exec::new(Parallelism::Threads(threads)),
             );
             assert_eq!(clustered, reference, "t={threads}");
@@ -409,7 +387,7 @@ mod tests {
             &[],
             &[Joules(1.0)],
             None,
-            KMeansConfig::default(),
+            Exec::serial(),
         );
     }
 }

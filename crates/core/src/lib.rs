@@ -40,7 +40,7 @@ pub mod testutil;
 
 pub use caps::{compute_caps, CapsConfig};
 pub use force::{ForceLayout, ForceLayoutConfig, Point};
-pub use kmeans::{kmeans, kmeans_exec, Clustering, KMeansConfig};
+pub use kmeans::{kmeans, Clustering};
 pub use local::{allocate, LocalAllocConfig};
 pub use migrate::{revise_migrations, RevisedPlacement, VmPlacementInput};
 pub use proposed::{ProposedConfig, ProposedPolicy};

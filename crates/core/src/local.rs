@@ -20,12 +20,14 @@ use geoplace_dcsim::power::ServerPowerModel;
 use geoplace_dcsim::snapshot::SystemSnapshot;
 use serde::{Deserialize, Serialize};
 
+/// Fraction of a server's top-frequency capacity the combined peak may
+/// use (safety margin against observation error) — shared by every
+/// policy's packer.
+pub const UTILIZATION_THRESHOLD: f64 = 0.9;
+
 /// Tuning of the local allocator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LocalAllocConfig {
-    /// Fraction of a server's top-frequency capacity the combined peak may
-    /// use (safety margin against observation error).
-    pub utilization_threshold: f64,
     /// Cap on *window-scan* fit probes per VM. A candidate server whose
     /// resident peak plus the VM's peak fits the capacity is accepted
     /// without scanning (sum of peaks bounds the combined peak from
@@ -40,7 +42,6 @@ pub struct LocalAllocConfig {
 impl Default for LocalAllocConfig {
     fn default() -> Self {
         LocalAllocConfig {
-            utilization_threshold: 0.9,
             probe_limit: usize::MAX,
         }
     }
@@ -71,7 +72,7 @@ pub fn allocate(
         return Vec::new();
     }
     let width = snapshot.windows.width();
-    let capacity = model.capacity_cores(model.max_level()) * config.utilization_threshold;
+    let capacity = model.capacity_cores(model.max_level()) * UTILIZATION_THRESHOLD;
 
     // FFD: biggest predicted peak first (ties broken by position for
     // determinism).
@@ -152,7 +153,7 @@ pub fn allocate(
             // Lowest frequency whose capacity covers the peak with the
             // same threshold margin.
             let freq = model
-                .min_level_for(f64::from(server.peak), 1.0 / config.utilization_threshold)
+                .min_level_for(f64::from(server.peak), 1.0 / UTILIZATION_THRESHOLD)
                 .unwrap_or(model.max_level());
             ServerAssignment {
                 server: index as u32,
@@ -299,10 +300,9 @@ mod tests {
         snapshot: &geoplace_dcsim::snapshot::SystemSnapshot<'_>,
         model: &geoplace_dcsim::power::ServerPowerModel,
         max_servers: u32,
-        config: LocalAllocConfig,
     ) -> Vec<ServerAssignment> {
         let width = snapshot.windows.width();
-        let capacity = model.capacity_cores(model.max_level()) * config.utilization_threshold;
+        let capacity = model.capacity_cores(model.max_level()) * UTILIZATION_THRESHOLD;
         let mut order: Vec<(usize, f64)> = positions
             .iter()
             .map(|&p| (p, snapshot.peak_load(p)))
@@ -350,7 +350,7 @@ mod tests {
             .map(|(index, server)| ServerAssignment {
                 server: index as u32,
                 freq: model
-                    .min_level_for(f64::from(server.peak), 1.0 / config.utilization_threshold)
+                    .min_level_for(f64::from(server.peak), 1.0 / UTILIZATION_THRESHOLD)
                     .unwrap_or(model.max_level()),
                 vms: server.vms.iter().map(|&p| snapshot.vm_ids()[p]).collect(),
             })
@@ -380,10 +380,9 @@ mod tests {
         let positions: Vec<usize> = (0..n).collect();
         let config = LocalAllocConfig {
             probe_limit: usize::MAX,
-            ..LocalAllocConfig::default()
         };
         let bounded = allocate(&positions, &snapshot, &model, 400, config);
-        let reference = unbounded_reference(&positions, &snapshot, &model, 400, config);
+        let reference = unbounded_reference(&positions, &snapshot, &model, 400);
         assert_eq!(
             bounded, reference,
             "probe_limit = usize::MAX must reproduce the unbounded window scan"
@@ -418,10 +417,7 @@ mod tests {
                 &snapshot,
                 &model,
                 10,
-                LocalAllocConfig {
-                    probe_limit: limit,
-                    ..LocalAllocConfig::default()
-                },
+                LocalAllocConfig { probe_limit: limit },
             )
         };
         assert_eq!(

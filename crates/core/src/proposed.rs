@@ -17,7 +17,7 @@
 
 use crate::caps::{compute_caps, CapsConfig};
 use crate::force::{ForceLayout, ForceLayoutConfig, Point};
-use crate::kmeans::{kmeans_exec, KMeansConfig};
+use crate::kmeans::kmeans;
 use crate::local::{allocate, LocalAllocConfig};
 use crate::migrate::{revise_migrations, VmPlacementInput};
 use geoplace_dcsim::decision::PlacementDecision;
@@ -25,7 +25,7 @@ use geoplace_dcsim::policy::GlobalPolicy;
 use geoplace_dcsim::snapshot::SystemSnapshot;
 use geoplace_types::snap::{SnapReader, SnapWriter};
 use geoplace_types::units::Joules;
-use geoplace_types::{DcId, Error, Exec, Parallelism, Result, VmId};
+use geoplace_types::{DcId, Error, Result, VmId};
 use geoplace_workload::cpucorr::{CorrelationMetric, CpuCorrelationMatrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,12 +47,8 @@ pub struct ProposedConfig {
     pub alpha: f64,
     /// Force-layout iteration cap.
     pub max_force_iterations: usize,
-    /// Far-field grid resolution of the sparse force layout (per axis).
-    pub layout_grid_dim: usize,
     /// Capacity-cap tuning.
     pub caps: CapsConfig,
-    /// k-means tuning.
-    pub kmeans: KMeansConfig,
     /// Local-allocation tuning.
     pub local: LocalAllocConfig,
     /// Seed for the policy's internal randomness (BER draws during
@@ -63,11 +59,6 @@ pub struct ProposedConfig {
     /// [`CorrelationMetric::Pearson`] makes the policy recompute the
     /// matrix from the observed windows (comparison variant).
     pub repulsion_metric: CorrelationMetric,
-    /// Worker threads for the policy's kernels (force accumulation,
-    /// k-means distances, per-DC packing fan-out). Results are
-    /// bit-identical at every setting — the executor's determinism
-    /// contract — so this is a wall-clock knob only.
-    pub parallelism: Parallelism,
 }
 
 impl Default for ProposedConfig {
@@ -75,18 +66,19 @@ impl Default for ProposedConfig {
         ProposedConfig {
             alpha: 0.5,
             max_force_iterations: 50,
-            layout_grid_dim: ForceLayoutConfig::default().grid_dim,
             caps: CapsConfig::default(),
-            kmeans: KMeansConfig::default(),
             local: LocalAllocConfig::default(),
             seed: 0xC0FFEE,
             repulsion_metric: CorrelationMetric::PeakCoincidence,
-            parallelism: Parallelism::Auto,
         }
     }
 }
 
 /// The paper's two-phase multi-objective VM placement policy.
+///
+/// Its kernels (force accumulation, k-means distances, the per-DC
+/// packing fan-out) run on the engine's thread budget, the
+/// [`SystemSnapshot::exec`] of each slot.
 ///
 /// # Examples
 ///
@@ -108,7 +100,6 @@ pub struct ProposedPolicy {
     layout: ForceLayout,
     prev_centroids: Option<Vec<Point>>,
     rng: StdRng,
-    exec: Exec,
     /// Per-slot VM energy estimates, refilled in place every decide —
     /// the policy allocates nothing proportional to the fleet in the
     /// steady state.
@@ -123,15 +114,12 @@ impl ProposedPolicy {
         let layout_config = ForceLayoutConfig {
             alpha: config.alpha,
             max_iterations: config.max_force_iterations,
-            grid_dim: config.layout_grid_dim,
             ..ForceLayoutConfig::default()
         };
-        let exec = Exec::new(config.parallelism);
         ProposedPolicy {
-            layout: ForceLayout::new(layout_config, config.seed).with_exec(exec),
+            layout: ForceLayout::new(layout_config, config.seed),
             rng: StdRng::seed_from_u64(config.seed ^ 0x9E37),
             prev_centroids: None,
-            exec,
             config,
             loads: Vec::new(),
             inputs: Vec::new(),
@@ -158,6 +146,7 @@ impl GlobalPolicy for ProposedPolicy {
         let ids = snapshot.vm_ids();
         let n = ids.len();
         let n_dcs = snapshot.dc_count();
+        let exec = snapshot.exec;
         let mut decision = PlacementDecision::new(n_dcs);
         if n == 0 {
             return decision;
@@ -167,7 +156,7 @@ impl GlobalPolicy for ProposedPolicy {
         let points = match self.config.repulsion_metric {
             CorrelationMetric::PeakCoincidence => {
                 self.layout
-                    .update(snapshot.arena, snapshot.cpu_corr, snapshot.traffic)
+                    .update(snapshot.arena, snapshot.cpu_corr, snapshot.traffic, exec)
             }
             CorrelationMetric::Pearson if snapshot.cpu_corr.is_degenerate() => {
                 // The bootstrap observation is all-zero: no metric is
@@ -176,7 +165,7 @@ impl GlobalPolicy for ProposedPolicy {
                 // zero windows would hand the layout a structurally
                 // different (and representation-dependent) input.
                 self.layout
-                    .update(snapshot.arena, snapshot.cpu_corr, snapshot.traffic)
+                    .update(snapshot.arena, snapshot.cpu_corr, snapshot.traffic, exec)
             }
             CorrelationMetric::Pearson => {
                 // Mirror the engine's dense/sparse choice so the ablation
@@ -186,16 +175,16 @@ impl GlobalPolicy for ProposedPolicy {
                         snapshot.windows,
                         CorrelationMetric::Pearson,
                         sparsity,
-                        self.exec,
+                        exec,
                     ),
                     None => CpuCorrelationMatrix::compute_exec(
                         snapshot.windows,
                         CorrelationMetric::Pearson,
-                        self.exec,
+                        exec,
                     ),
                 };
                 self.layout
-                    .update(snapshot.arena, &pearson, snapshot.traffic)
+                    .update(snapshot.arena, &pearson, snapshot.traffic, exec)
             }
         };
 
@@ -218,14 +207,7 @@ impl GlobalPolicy for ProposedPolicy {
             }
         }
         let loads = &self.loads;
-        let clustering = kmeans_exec(
-            points,
-            loads,
-            &caps,
-            self.prev_centroids.as_deref(),
-            self.config.kmeans,
-            self.exec,
-        );
+        let clustering = kmeans(points, loads, &caps, self.prev_centroids.as_deref(), exec);
         self.prev_centroids = Some(clustering.centroids.clone());
 
         // Step 3: migration revision under the latency constraint.
@@ -252,7 +234,7 @@ impl GlobalPolicy for ProposedPolicy {
         // of its member set, collected back in DC order).
         let local_config = self.config.local;
         let revised_ref = &revised;
-        let per_dc = self.exec.map_chunks_sized(n_dcs, 1, |range| {
+        let per_dc = exec.map_chunks_sized(n_dcs, 1, |range| {
             range
                 .map(|dc_index| {
                     let dc = DcId(dc_index as u16);
@@ -455,7 +437,6 @@ mod tests {
             .collect();
         let mut data = DataCorrelation::new(DataCorrelationConfig {
             cross_links_per_vm: 0,
-            ..DataCorrelationConfig::default()
         });
         // Fabricate traffic through a fleet-independent route: connect via
         // public API by abusing connect_arrivals with two fake specs is
@@ -500,6 +481,7 @@ mod tests {
         use geoplace_dcsim::checkpoint::{checkpoint_with_policy, restore_with_policy};
         use geoplace_dcsim::config::ScenarioConfig;
         use geoplace_dcsim::engine::{Scenario, Simulator};
+        use geoplace_dcsim::stepper::SlotStepper;
         use geoplace_types::snap::Checkpoint;
         use geoplace_workload::source::SyntheticSource;
         for metric in [
@@ -514,7 +496,7 @@ mod tests {
             };
             let reference = Simulator::new(Scenario::build(&config).unwrap())
                 .run(&mut ProposedPolicy::new(policy_config));
-            let mut stepper = Simulator::new(Scenario::build(&config).unwrap()).into_stepper();
+            let mut stepper = SlotStepper::new(Scenario::build(&config).unwrap());
             let mut policy = ProposedPolicy::new(policy_config);
             let mut source = SyntheticSource;
             for _ in 0..3 {
@@ -524,7 +506,7 @@ mod tests {
             }
             let ck = checkpoint_with_policy(&stepper, &policy).unwrap();
             let ck = Checkpoint::decode(&ck.encode()).unwrap();
-            let mut resumed = Simulator::new(Scenario::build(&config).unwrap()).into_stepper();
+            let mut resumed = SlotStepper::new(Scenario::build(&config).unwrap());
             let mut fresh = ProposedPolicy::new(policy_config);
             restore_with_policy(&mut resumed, &mut fresh, &ck).unwrap();
             while !resumed.is_done() {

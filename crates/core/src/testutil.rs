@@ -9,7 +9,7 @@ use geoplace_network::latency::LatencyModel;
 use geoplace_network::topology::Topology;
 use geoplace_types::time::TimeSlot;
 use geoplace_types::units::{EurosPerKwh, Gigabytes, Joules, Seconds};
-use geoplace_types::{DcId, VmArena, VmId};
+use geoplace_types::{DcId, Exec, VmArena, VmId};
 use geoplace_workload::cpucorr::CpuCorrelationMatrix;
 use geoplace_workload::datacorr::{DataCorrelation, DataCorrelationConfig};
 use geoplace_workload::graph::TrafficGraph;
@@ -160,6 +160,7 @@ impl SnapshotFixture {
             dcs: &self.dcs,
             latency: &self.latency,
             migration_budget: self.budget,
+            exec: Exec::serial(),
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests of the placement algorithms.
 
 use geoplace_core::force::{ForceLayout, ForceLayoutConfig, Point};
-use geoplace_core::kmeans::{kmeans, KMeansConfig};
+use geoplace_core::kmeans::kmeans;
 use geoplace_core::local::{allocate, LocalAllocConfig};
 use geoplace_core::migrate::{revise_migrations, VmPlacementInput};
 use geoplace_core::testutil::SnapshotFixture;
@@ -9,7 +9,7 @@ use geoplace_network::ber::BerDistribution;
 use geoplace_network::latency::LatencyModel;
 use geoplace_network::topology::Topology;
 use geoplace_types::units::{Gigabytes, Joules, Seconds};
-use geoplace_types::{DcId, VmArena, VmId};
+use geoplace_types::{DcId, Exec, VmArena, VmId};
 use geoplace_workload::cpucorr::CpuCorrelationMatrix;
 use geoplace_workload::datacorr::{DataCorrelation, DataCorrelationConfig};
 use geoplace_workload::window::UtilizationWindows;
@@ -36,7 +36,7 @@ proptest! {
         let traffic = data.traffic_graph(&arena);
         let config = ForceLayoutConfig { alpha, ..ForceLayoutConfig::default() };
         let mut layout = ForceLayout::new(config, seed);
-        let points = layout.update(&arena, &cpu, &traffic).to_vec();
+        let points = layout.update(&arena, &cpu, &traffic, Exec::serial()).to_vec();
         for p in &points {
             prop_assert!(p.x.is_finite() && p.y.is_finite());
         }
@@ -56,7 +56,7 @@ proptest! {
         let loads = vec![Joules(1.0); n];
         // Generous caps: everything fits with slack.
         let caps = vec![Joules(n as f64 + 1.0); k];
-        let result = kmeans(&points, &loads, &caps, None, KMeansConfig::default());
+        let result = kmeans(&points, &loads, &caps, None, Exec::serial());
         prop_assert_eq!(result.assignment.len(), n);
         for &c in &result.assignment {
             prop_assert!(c < k);
@@ -161,8 +161,8 @@ proptest! {
         let points: Vec<Point> = points.into_iter().map(|(x, y)| Point { x, y }).collect();
         let loads = vec![Joules(1.0); points.len()];
         let caps = vec![Joules(points.len() as f64 + 1.0); 3];
-        let first = kmeans(&points, &loads, &caps, None, KMeansConfig::default());
-        let second = kmeans(&points, &loads, &caps, Some(&first.centroids), KMeansConfig::default());
+        let first = kmeans(&points, &loads, &caps, None, Exec::serial());
+        let second = kmeans(&points, &loads, &caps, Some(&first.centroids), Exec::serial());
         prop_assert_eq!(first.assignment, second.assignment);
     }
 }

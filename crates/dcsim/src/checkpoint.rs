@@ -193,7 +193,7 @@ mod tests {
     use geoplace_workload::source::SyntheticSource;
 
     fn stepper_for(config: &ScenarioConfig) -> SlotStepper {
-        Simulator::new(Scenario::build(config).unwrap()).into_stepper()
+        SlotStepper::new(Scenario::build(config).unwrap())
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! network knobs.
 
 use crate::events::EventTimeline;
-use crate::pue::{PueModel, SiteClimate};
+use crate::pue::SiteClimate;
 use geoplace_types::{Error, Parallelism, Result};
 use geoplace_workload::fleet::FleetConfig;
 use geoplace_workload::sparsity::SparsityConfig;
@@ -76,11 +76,6 @@ pub struct ScenarioConfig {
     pub fleet: FleetConfig,
     /// Master seed (weather, BER draws, policy RNGs).
     pub seed: u64,
-    /// Replace the paper's BER distribution with an error-free network
-    /// (for analytic tests).
-    pub error_free_network: bool,
-    /// PUE curve shared by all DCs.
-    pub pue: PueModel,
     /// Dense↔sparse selection and approximation knobs of the per-slot
     /// correlation pipeline.
     pub sparsity: SparsityConfig,
@@ -89,11 +84,11 @@ pub struct ScenarioConfig {
     /// inter-DC data; without fatter pipes the response-time model
     /// saturates into meaninglessness.
     pub link_scale: f64,
-    /// Worker threads for the engine's per-slot kernels (correlation CSR
-    /// builds and the per-DC interval simulation). The executor's
-    /// determinism contract makes every setting produce bit-identical
-    /// reports — [`Parallelism::Serial`] exists for paper-repro runs
-    /// that must not even depend on the contract.
+    /// Worker threads for every per-slot kernel: the engine's
+    /// (correlation CSR builds, the per-DC interval simulation) and,
+    /// through [`SystemSnapshot::exec`](crate::snapshot::SystemSnapshot::exec),
+    /// the policy's. The executor's determinism contract makes every
+    /// setting produce bit-identical reports.
     pub parallelism: Parallelism,
     /// Deterministic slot-indexed perturbations (capacity derates,
     /// price spikes, PV droughts) the engine applies during the run;
@@ -119,8 +114,6 @@ impl ScenarioConfig {
             qos: 0.98,
             fleet,
             seed,
-            error_free_network: false,
-            pue: PueModel::default(),
             sparsity: SparsityConfig::default(),
             link_scale: 1.0,
             parallelism: Parallelism::Auto,

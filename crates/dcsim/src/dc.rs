@@ -29,8 +29,6 @@ pub struct DataCenter {
     pub price: PriceSchedule,
     /// The site climate (drives the PUE).
     pub climate: SiteClimate,
-    /// The shared PUE curve.
-    pub pue: PueModel,
     /// The WCMA renewable forecaster.
     pub forecaster: WcmaForecaster,
     /// IT energy consumed during the previous slot.
@@ -46,7 +44,7 @@ impl DataCenter {
     ///
     /// Returns [`geoplace_types::Error::InvalidConfig`] when the config's
     /// battery or tariff parameters are invalid.
-    pub fn build(id: DcId, config: DcConfig, pue: PueModel, seed: u64) -> Result<Self> {
+    pub fn build(id: DcId, config: DcConfig, seed: u64) -> Result<Self> {
         let site = Site {
             latitude_deg: config.latitude_deg,
             timezone_offset_hours: config.timezone_offset_hours,
@@ -67,7 +65,6 @@ impl DataCenter {
             battery,
             price,
             climate,
-            pue,
             forecaster: WcmaForecaster::new(4, 3),
             last_it_energy: Joules::ZERO,
             last_total_energy: Joules::ZERO,
@@ -77,7 +74,7 @@ impl DataCenter {
 
     /// The PUE expected during `slot`.
     pub fn pue_at(&self, slot: TimeSlot) -> f64 {
-        self.pue.pue(&self.climate, slot)
+        PueModel::pue(&self.climate, slot)
     }
 }
 
@@ -89,7 +86,7 @@ mod tests {
     #[test]
     fn build_all_paper_dcs() {
         for (i, config) in paper_dcs().into_iter().enumerate() {
-            let dc = DataCenter::build(DcId(i as u16), config, PueModel::default(), 7).unwrap();
+            let dc = DataCenter::build(DcId(i as u16), config, 7).unwrap();
             assert!(dc.battery.capacity().0 > 0.0);
             assert!(dc.pue_at(TimeSlot(0)) >= 1.0);
         }
@@ -98,7 +95,7 @@ mod tests {
     #[test]
     fn pue_varies_over_the_day() {
         let config = paper_dcs().remove(0);
-        let dc = DataCenter::build(DcId(0), config, PueModel::default(), 7).unwrap();
+        let dc = DataCenter::build(DcId(0), config, 7).unwrap();
         let night = dc.pue_at(TimeSlot(4));
         let afternoon = dc.pue_at(TimeSlot(15));
         assert!(afternoon > night);
@@ -107,7 +104,7 @@ mod tests {
     #[test]
     fn batteries_start_full() {
         let config = paper_dcs().remove(2);
-        let dc = DataCenter::build(DcId(2), config, PueModel::default(), 7).unwrap();
+        let dc = DataCenter::build(DcId(2), config, 7).unwrap();
         assert!((dc.battery.soc_fraction() - 1.0).abs() < 1e-12);
     }
 }

@@ -38,8 +38,6 @@ use geoplace_types::units::GigabitsPerSecond;
 use geoplace_types::{DcId, Result};
 use geoplace_workload::fleet::VmFleet;
 use geoplace_workload::source::SyntheticSource;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// A fully built simulation world, ready to run.
 ///
@@ -93,18 +91,13 @@ impl Scenario {
             GigabitsPerSecond(10.0 * config.link_scale),
             GigabitsPerSecond(100.0 * config.link_scale),
         )?;
-        let ber = if config.error_free_network {
-            BerDistribution::error_free()
-        } else {
-            BerDistribution::paper_default()
-        };
-        let latency = LatencyModel::new(topology.clone(), ber);
+        let latency = LatencyModel::new(topology.clone(), BerDistribution::paper_default());
         let fleet = VmFleet::new(config.fleet.clone())?;
         let dcs = config
             .dcs
             .iter()
             .enumerate()
-            .map(|(i, d)| DataCenter::build(DcId(i as u16), d.clone(), config.pue, config.seed))
+            .map(|(i, d)| DataCenter::build(DcId(i as u16), d.clone(), config.seed))
             .collect::<Result<Vec<_>>>()?;
         Ok(Scenario {
             config: config.clone(),
@@ -116,40 +109,30 @@ impl Scenario {
     }
 }
 
-/// Runs one policy over a [`Scenario`].
+/// Runs one policy over a [`Scenario`]: the batch loop over a
+/// [`SlotStepper`]. Drivers that need more than the batch loop —
+/// checkpointing runs ([`crate::checkpoint::run_with_checkpoints`]),
+/// restore-then-resume, online sessions — pump a [`SlotStepper`]
+/// directly.
 #[derive(Debug)]
 pub struct Simulator {
-    scenario: Scenario,
-    rng: StdRng,
-    green: GreenController,
+    stepper: SlotStepper,
 }
 
 impl Simulator {
-    /// Creates the simulator; the RNG is derived from the scenario seed so
-    /// runs are reproducible.
+    /// Creates the simulator over a fresh [`SlotStepper::new`].
     pub fn new(scenario: Scenario) -> Self {
-        let rng = StdRng::seed_from_u64(scenario.config.seed ^ 0x5137_AB1E);
         Simulator {
-            scenario,
-            rng,
-            green: GreenController::default(),
+            stepper: SlotStepper::new(scenario),
         }
     }
 
-    /// Disables the green controller's low-price arbitrage charging
-    /// (ablation knob).
-    pub fn with_green_controller(mut self, green: GreenController) -> Self {
-        self.green = green;
-        self
-    }
-
-    /// Decomposes the simulator into its [`SlotStepper`], ready to be
-    /// pumped by hand — the entry point for drivers that need more than
-    /// the batch loop: checkpointing runs
-    /// ([`crate::checkpoint::run_with_checkpoints`]), restore-then-resume,
-    /// or online sessions.
-    pub fn into_stepper(self) -> SlotStepper {
-        SlotStepper::from_parts(self.scenario, self.rng, self.green)
+    /// Replaces the green controller (ablation knob; see
+    /// [`SlotStepper::with_green_controller`]).
+    pub fn with_green_controller(self, green: GreenController) -> Self {
+        Simulator {
+            stepper: self.stepper.with_green_controller(green),
+        }
     }
 
     /// Runs the whole horizon under `policy` and returns the report.
@@ -168,7 +151,7 @@ impl Simulator {
     /// Panics if the policy returns a structurally invalid decision — that
     /// is a programming error in the policy, not a recoverable condition.
     pub fn run<P: GlobalPolicy>(self, policy: &mut P) -> SimulationReport {
-        let mut stepper = SlotStepper::from_parts(self.scenario, self.rng, self.green);
+        let mut stepper = self.stepper;
         let mut source = SyntheticSource;
         while !stepper.is_done() {
             stepper
@@ -541,7 +524,7 @@ mod tests {
         use geoplace_workload::source::SyntheticSource;
         let mut config = tiny_config();
         config.horizon_slots = 6;
-        let mut stepper = Simulator::new(Scenario::build(&config).unwrap()).into_stepper();
+        let mut stepper = SlotStepper::new(Scenario::build(&config).unwrap());
         let mut policy = RoundRobinDcs;
         while !stepper.is_done() {
             stepper.advance_world(&mut SyntheticSource).unwrap();

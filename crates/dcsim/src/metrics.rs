@@ -5,6 +5,7 @@
 //! (Figs. 1–2), response-time samples (Fig. 3) and the summary totals the
 //! trade-off plots project (Figs. 4–6).
 
+use geoplace_types::hash::Fnv64;
 use geoplace_types::time::TimeSlot;
 use serde::{Deserialize, Serialize};
 
@@ -232,36 +233,6 @@ impl SimulationReport {
     /// digits — the form committed to the golden files.
     pub fn digest(&self) -> String {
         format!("{:016x}", self.digest64())
-    }
-}
-
-/// FNV-1a (64-bit): dependency-free, stable across platforms and Rust
-/// versions — unlike `DefaultHasher`, whose output is explicitly not
-/// guaranteed stable, which would silently invalidate committed goldens.
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Self {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn write_u64(&mut self, value: u64) {
-        self.write_bytes(&value.to_le_bytes());
-    }
-
-    fn write_f64(&mut self, value: f64) {
-        self.write_u64(value.to_bits());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

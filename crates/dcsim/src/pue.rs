@@ -43,49 +43,39 @@ impl SiteClimate {
     }
 }
 
-/// Free-cooling PUE curve: `PUE(T) = base + ramp · σ((T − threshold)/width)`.
+/// The free-cooling PUE curve of ref [20]:
+/// `PUE(T) = BASE + RAMP · σ((T − THRESHOLD_C) / WIDTH_C)`, shared by
+/// every DC.
 ///
 /// # Examples
 ///
 /// ```
 /// use geoplace_dcsim::pue::PueModel;
-/// let pue = PueModel::default();
-/// assert!(pue.pue_at_temperature(0.0) < pue.pue_at_temperature(30.0));
-/// assert!(pue.pue_at_temperature(-10.0) >= 1.0);
+/// assert!(PueModel::pue_at_temperature(0.0) < PueModel::pue_at_temperature(30.0));
+/// assert!(PueModel::pue_at_temperature(-10.0) >= 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PueModel {
-    /// PUE with pure free cooling (fans, pumps, power distribution).
-    pub base: f64,
-    /// Extra overhead when chillers run flat out.
-    pub ramp: f64,
-    /// Temperature at the half-way point of the chiller ramp, °C.
-    pub threshold_c: f64,
-    /// Ramp width, °C.
-    pub width_c: f64,
-}
-
-impl Default for PueModel {
-    fn default() -> Self {
-        PueModel {
-            base: 1.12,
-            ramp: 0.18,
-            threshold_c: 18.0,
-            width_c: 4.0,
-        }
-    }
-}
+#[derive(Debug, Clone, Copy)]
+pub struct PueModel;
 
 impl PueModel {
+    /// PUE with pure free cooling (fans, pumps, power distribution).
+    pub const BASE: f64 = 1.12;
+    /// Extra overhead when chillers run flat out.
+    pub const RAMP: f64 = 0.18;
+    /// Temperature at the half-way point of the chiller ramp, °C.
+    pub const THRESHOLD_C: f64 = 18.0;
+    /// Ramp width, °C.
+    pub const WIDTH_C: f64 = 4.0;
+
     /// The PUE at a given outside temperature.
-    pub fn pue_at_temperature(&self, temp_c: f64) -> f64 {
-        let x = (temp_c - self.threshold_c) / self.width_c;
-        self.base + self.ramp * sigmoid(x)
+    pub fn pue_at_temperature(temp_c: f64) -> f64 {
+        let x = (temp_c - Self::THRESHOLD_C) / Self::WIDTH_C;
+        Self::BASE + Self::RAMP * sigmoid(x)
     }
 
     /// The PUE of a site at a slot.
-    pub fn pue(&self, climate: &SiteClimate, slot: TimeSlot) -> f64 {
-        self.pue_at_temperature(climate.temperature_c(slot))
+    pub fn pue(climate: &SiteClimate, slot: TimeSlot) -> f64 {
+        Self::pue_at_temperature(climate.temperature_c(slot))
     }
 }
 
@@ -99,11 +89,10 @@ mod tests {
 
     #[test]
     fn pue_is_bounded() {
-        let pue = PueModel::default();
         for t in -30..50 {
-            let v = pue.pue_at_temperature(t as f64);
+            let v = PueModel::pue_at_temperature(t as f64);
             assert!(
-                v >= pue.base && v <= pue.base + pue.ramp,
+                (PueModel::BASE..=PueModel::BASE + PueModel::RAMP).contains(&v),
                 "PUE {v} at {t}°C"
             );
         }
@@ -111,10 +100,9 @@ mod tests {
 
     #[test]
     fn pue_monotone_in_temperature() {
-        let pue = PueModel::default();
         let mut prev = 0.0;
         for t in -30..50 {
-            let v = pue.pue_at_temperature(t as f64);
+            let v = PueModel::pue_at_temperature(t as f64);
             assert!(v >= prev);
             prev = v;
         }
@@ -122,7 +110,6 @@ mod tests {
 
     #[test]
     fn cold_site_beats_warm_site() {
-        let pue = PueModel::default();
         let helsinki = SiteClimate {
             mean_c: 7.0,
             amplitude_c: 5.0,
@@ -134,7 +121,10 @@ mod tests {
             timezone_offset_hours: 0,
         };
         let avg = |c: &SiteClimate| -> f64 {
-            (0..24u32).map(|h| pue.pue(c, TimeSlot(h))).sum::<f64>() / 24.0
+            (0..24u32)
+                .map(|h| PueModel::pue(c, TimeSlot(h)))
+                .sum::<f64>()
+                / 24.0
         };
         assert!(avg(&helsinki) < avg(&lisbon));
     }
@@ -158,14 +148,13 @@ mod tests {
 
     #[test]
     fn night_cooling_lowers_pue() {
-        let pue = PueModel::default();
         let site = SiteClimate {
             mean_c: 18.0,
             amplitude_c: 6.0,
             timezone_offset_hours: 0,
         };
-        let night = pue.pue(&site, TimeSlot(3));
-        let afternoon = pue.pue(&site, TimeSlot(15));
+        let night = PueModel::pue(&site, TimeSlot(3));
+        let afternoon = PueModel::pue(&site, TimeSlot(15));
         assert!(night < afternoon);
     }
 }

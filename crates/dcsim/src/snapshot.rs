@@ -11,7 +11,7 @@ use geoplace_energy::price::PriceLevel;
 use geoplace_network::latency::LatencyModel;
 use geoplace_types::time::TimeSlot;
 use geoplace_types::units::{EurosPerKwh, Gigabytes, Joules, Seconds};
-use geoplace_types::{DcId, VmArena, VmId};
+use geoplace_types::{DcId, Exec, VmArena, VmId};
 use geoplace_workload::cpucorr::CpuCorrelationMatrix;
 use geoplace_workload::datacorr::DataCorrelation;
 use geoplace_workload::graph::TrafficGraph;
@@ -94,6 +94,11 @@ pub struct SystemSnapshot<'a> {
     pub latency: &'a LatencyModel,
     /// Hard migration latency budget (2 % of the slot at QoS 98 %).
     pub migration_budget: Seconds,
+    /// The engine's thread budget (resolved from
+    /// [`ScenarioConfig::parallelism`](crate::config::ScenarioConfig::parallelism)),
+    /// for the policy's own kernels — so engine and policy share one
+    /// budget, and no policy needs a thread knob of its own.
+    pub exec: Exec,
 }
 
 impl<'a> SystemSnapshot<'a> {

@@ -210,22 +210,12 @@ pub struct SlotStepper {
 }
 
 impl SlotStepper {
-    /// Creates the stepper over a built world; the RNG is derived from
-    /// the scenario seed exactly as
-    /// [`Simulator::new`](crate::engine::Simulator::new) derives it, so
-    /// stepper-driven runs are bit-identical to `run`.
+    /// Creates the stepper over a built world. The engine RNG is derived
+    /// from the scenario seed, so every run of one scenario — batch
+    /// ([`Simulator::run`](crate::engine::Simulator::run)) or
+    /// hand-driven — is bit-identical.
     pub fn new(scenario: Scenario) -> Self {
         let rng = StdRng::seed_from_u64(scenario.config.seed ^ 0x5137_AB1E);
-        SlotStepper::from_parts(scenario, rng, GreenController::default())
-    }
-
-    /// Replaces the green controller (ablation knob).
-    pub fn with_green_controller(mut self, green: GreenController) -> Self {
-        self.green = green;
-        self
-    }
-
-    pub(crate) fn from_parts(scenario: Scenario, rng: StdRng, green: GreenController) -> Self {
         let n_dcs = scenario.dcs.len();
         let exec = Exec::new(scenario.config.parallelism);
         let server_counts: Vec<u32> = scenario.dcs.iter().map(|d| d.config.servers).collect();
@@ -248,7 +238,7 @@ impl SlotStepper {
         SlotStepper {
             scenario,
             rng,
-            green,
+            green: GreenController::default(),
             exec,
             server_counts,
             dvfs_levels,
@@ -266,6 +256,12 @@ impl SlotStepper {
             next_slot: 0,
             phase: Phase::AwaitingAdvance,
         }
+    }
+
+    /// Replaces the green controller (ablation knob).
+    pub fn with_green_controller(mut self, green: GreenController) -> Self {
+        self.green = green;
+        self
     }
 
     /// The built world the stepper runs over.

@@ -37,6 +37,7 @@ impl SlotStepper {
             dcs: &self.dc_infos,
             latency: &self.scenario.latency,
             migration_budget: self.budget,
+            exec: self.exec,
         }
     }
 }

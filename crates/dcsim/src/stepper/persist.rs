@@ -26,7 +26,8 @@
 use super::{Phase, SlotStepper};
 use crate::config::ScenarioConfig;
 use crate::metrics::HourlyRecord;
-use geoplace_types::snap::{Checkpoint, Fnv64, SnapWriter, Snapshot};
+use geoplace_types::hash::Fnv64;
+use geoplace_types::snap::{Checkpoint, SnapWriter, Snapshot};
 use geoplace_types::time::TimeSlot;
 use geoplace_types::units::Joules;
 use geoplace_types::{DcId, Error, Parallelism, Result, VmId};
@@ -39,7 +40,9 @@ impl SlotStepper {
     /// changes no result (the executor's determinism contract), so a
     /// checkpoint written at one thread count restores at any other; it
     /// only restores onto a stepper whose config otherwise fingerprints
-    /// identically.
+    /// identically. The rendering covers the `ScenarioConfig` type
+    /// itself, so a build that adds, removes or renames a field also
+    /// changes every fingerprint.
     pub fn config_fingerprint(&self) -> u64 {
         let config = ScenarioConfig {
             parallelism: Parallelism::default(),
@@ -183,7 +186,9 @@ impl SlotStepper {
                 "header",
                 8,
                 format!(
-                    "config fingerprint {:#018x} does not match this scenario's {fingerprint:#018x}",
+                    "config fingerprint {:#018x} does not match this stepper's {fingerprint:#018x}: \
+                     the checkpoint was taken in another scenario, or by a build whose \
+                     ScenarioConfig differs from this one",
                     ck.config_fingerprint
                 ),
             ));
@@ -421,6 +426,8 @@ mod tests {
         let mut other = SlotStepper::new(Scenario::build(&other_config).unwrap());
         let err = other.restore(&ck).unwrap_err().to_string();
         assert!(err.contains("fingerprint"), "{err}");
+        assert!(err.contains("another scenario"), "{err}");
+        assert!(err.contains("build whose ScenarioConfig differs"), "{err}");
     }
 
     #[test]

@@ -38,11 +38,10 @@ proptest! {
     /// The PUE stays within its curve's envelope for any climate and slot.
     #[test]
     fn pue_within_envelope(mean in -10.0f64..35.0, amplitude in 0.0f64..15.0, slot in 0u32..1000, tz in -12i32..12) {
-        let pue = PueModel::default();
         let climate = SiteClimate { mean_c: mean, amplitude_c: amplitude, timezone_offset_hours: tz };
-        let value = pue.pue(&climate, TimeSlot(slot));
-        prop_assert!(value >= pue.base - 1e-9);
-        prop_assert!(value <= pue.base + pue.ramp + 1e-9);
+        let value = PueModel::pue(&climate, TimeSlot(slot));
+        prop_assert!(value >= PueModel::BASE - 1e-9);
+        prop_assert!(value <= PueModel::BASE + PueModel::RAMP + 1e-9);
     }
 
     /// Decision validation accepts exactly the structurally sound

@@ -1,22 +1,11 @@
 //! Deterministic value-noise helpers shared by the PV cloud model.
 //!
-//! Same SplitMix64 construction as the workload traces: noise is a pure
-//! function of `(seed, index)` so the weather is reproducible and needs no
-//! stored state.
+//! Same SplitMix64 construction as the workload traces
+//! ([`geoplace_types::hash`]): noise is a pure function of
+//! `(seed, index)` so the weather is reproducible and needs no stored
+//! state.
 
-/// SplitMix64 avalanche hash.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Hash `(seed, n)` to a uniform float in `[0, 1)`.
-pub(crate) fn hash_to_unit(seed: u64, n: u64) -> f64 {
-    let h = splitmix64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(n));
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
+use geoplace_types::hash::hash_to_unit;
 
 /// Piecewise-linear value noise over a lattice of spacing `lattice` steps,
 /// in `[0, 1)`.

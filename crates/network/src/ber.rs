@@ -83,15 +83,6 @@ impl BerDistribution {
     pub fn mean(&self) -> f64 {
         self.entries.iter().map(|&(b, p)| b * p).sum()
     }
-
-    /// Fraction of *goodput* retained at a given BER, modelling frame
-    /// retransmission: with 1500-byte (12 kbit) frames, the probability a
-    /// frame survives is `(1−b)^12000 ≈ exp(−12000·b)`, and goodput scales
-    /// with the survival probability.
-    pub fn goodput_factor(ber: f64) -> f64 {
-        const FRAME_BITS: f64 = 12_000.0;
-        (-FRAME_BITS * ber).exp()
-    }
 }
 
 #[cfg(test)]
@@ -138,16 +129,5 @@ mod tests {
     #[should_panic(expected = "sum to")]
     fn bad_probabilities_panic() {
         let _ = BerDistribution::new(vec![(1e-6, 0.5), (1e-3, 0.2)]);
-    }
-
-    #[test]
-    fn goodput_factor_degrades_with_ber() {
-        assert!((BerDistribution::goodput_factor(0.0) - 1.0).abs() < 1e-12);
-        let g6 = BerDistribution::goodput_factor(1e-6);
-        let g3 = BerDistribution::goodput_factor(1e-3);
-        let g2 = BerDistribution::goodput_factor(1e-2);
-        assert!(g6 > 0.98);
-        assert!(g3 < g6);
-        assert!(g2 < 1e-10, "10^-2 BER kills the link: {g2}");
     }
 }

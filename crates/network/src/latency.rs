@@ -17,37 +17,13 @@
 use crate::ber::BerDistribution;
 use crate::topology::Topology;
 use crate::traffic::TrafficMatrix;
-use geoplace_types::units::{GigabitsPerSecond, Megabytes, Seconds};
+use geoplace_types::units::{Megabytes, Seconds};
 use geoplace_types::DcId;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Speed of light in vacuum, km/s — the paper's `S_l`.
 pub const SPEED_OF_LIGHT_KM_S: f64 = 299_792.458;
-
-/// How a BER degrades the backbone's effective bandwidth in Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum EffectiveBandwidthModel {
-    /// The paper's literal formula: `B_e(t) = (1 − BER(t)) · B_bb`.
-    #[default]
-    PaperLinear,
-    /// Frame-retransmission goodput: `B_e(t) = exp(−12000·BER) · B_bb`
-    /// (1500-byte frames; corrupted frames are resent). Offered as a more
-    /// physical alternative; ablation benches compare the two.
-    FrameRetransmission,
-}
-
-impl EffectiveBandwidthModel {
-    /// Effective bandwidth under a momentary BER.
-    pub fn effective(self, backbone: GigabitsPerSecond, ber: f64) -> GigabitsPerSecond {
-        match self {
-            EffectiveBandwidthModel::PaperLinear => backbone * (1.0 - ber),
-            EffectiveBandwidthModel::FrameRetransmission => {
-                backbone * BerDistribution::goodput_factor(ber)
-            }
-        }
-    }
-}
 
 /// The assembled latency model over a topology.
 ///
@@ -73,27 +49,13 @@ impl EffectiveBandwidthModel {
 pub struct LatencyModel {
     topology: Topology,
     ber: BerDistribution,
-    bandwidth_model: EffectiveBandwidthModel,
-    /// Propagation speed `S_l` in km/s.
-    speed_km_per_s: f64,
 }
 
 impl LatencyModel {
-    /// Creates the model with the paper's literal effective-bandwidth rule
-    /// and speed-of-light propagation.
+    /// Creates the model over a topology whose backbone links draw their
+    /// BER from `ber`.
     pub fn new(topology: Topology, ber: BerDistribution) -> Self {
-        LatencyModel {
-            topology,
-            ber,
-            bandwidth_model: EffectiveBandwidthModel::PaperLinear,
-            speed_km_per_s: SPEED_OF_LIGHT_KM_S,
-        }
-    }
-
-    /// Switches the effective-bandwidth degradation model.
-    pub fn with_bandwidth_model(mut self, model: EffectiveBandwidthModel) -> Self {
-        self.bandwidth_model = model;
-        self
+        LatencyModel { topology, ber }
     }
 
     /// The underlying topology.
@@ -117,11 +79,12 @@ impl LatencyModel {
 
     /// Propagation delay between two DCs (first term of Eq. 4).
     pub fn propagation(&self, from: DcId, to: DcId) -> Seconds {
-        Seconds(self.topology.distance_km(from, to) / self.speed_km_per_s)
+        Seconds(self.topology.distance_km(from, to) / SPEED_OF_LIGHT_KM_S)
     }
 
     /// Algorithm 1 — data latency `L_e` of pushing `volume` across the
-    /// backbone when every one-second step draws a fresh BER.
+    /// backbone when every one-second step draws a fresh BER and moves
+    /// at the paper's effective bandwidth `B_e(t) = (1 − BER(t)) · B_bb`.
     pub fn global_data_latency<R: Rng + ?Sized>(&self, volume: Megabytes, rng: &mut R) -> Seconds {
         let mut remaining = volume;
         let mut latency = Seconds::ZERO;
@@ -130,9 +93,7 @@ impl LatencyModel {
         }
         loop {
             let ber = self.ber.sample(rng);
-            let effective = self
-                .bandwidth_model
-                .effective(self.topology.backbone_bandwidth(), ber);
+            let effective = self.topology.backbone_bandwidth() * (1.0 - ber);
             // Volume movable in one one-second step.
             let step_capacity = effective.megabytes_per_second();
             if step_capacity.0 <= 0.0 {
@@ -325,20 +286,6 @@ mod tests {
         let traffic = TrafficMatrix::new(3);
         let mut rng = StdRng::seed_from_u64(6);
         assert_eq!(m.total_latency(DcId(0), &traffic, &mut rng), Seconds::ZERO);
-    }
-
-    #[test]
-    fn frame_retransmission_model_is_harsher() {
-        let paper = EffectiveBandwidthModel::PaperLinear;
-        let frame = EffectiveBandwidthModel::FrameRetransmission;
-        let bbb = GigabitsPerSecond(100.0);
-        // At BER 1e-3 the paper's linear model barely notices; the frame
-        // model collapses the link.
-        assert!(paper.effective(bbb, 1e-3).0 > 99.0);
-        assert!(frame.effective(bbb, 1e-3).0 < 1.0);
-        // At zero BER both are ideal.
-        assert_eq!(paper.effective(bbb, 0.0).0, 100.0);
-        assert_eq!(frame.effective(bbb, 0.0).0, 100.0);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod topology;
 pub mod traffic;
 
 pub use ber::BerDistribution;
-pub use latency::{EffectiveBandwidthModel, LatencyModel};
+pub use latency::LatencyModel;
 pub use migration::{latency_constraint_for_qos, Migration, MigrationPlan};
 pub use response::{evaluate_slot, SlotResponse};
 pub use topology::{paper_sites, DcSite, Topology};
@@ -44,7 +44,7 @@ pub use traffic::TrafficMatrix;
 /// Convenient bulk import.
 pub mod prelude {
     pub use crate::ber::BerDistribution;
-    pub use crate::latency::{EffectiveBandwidthModel, LatencyModel};
+    pub use crate::latency::LatencyModel;
     pub use crate::migration::{latency_constraint_for_qos, Migration, MigrationPlan};
     pub use crate::response::{evaluate_slot, SlotResponse};
     pub use crate::topology::{paper_sites, DcSite, Topology};

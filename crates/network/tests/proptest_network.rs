@@ -1,7 +1,7 @@
 //! Property-based tests of the network substrate.
 
 use geoplace_network::ber::BerDistribution;
-use geoplace_network::latency::{EffectiveBandwidthModel, LatencyModel};
+use geoplace_network::latency::LatencyModel;
 use geoplace_network::migration::{latency_constraint_for_qos, Migration, MigrationPlan};
 use geoplace_network::response::evaluate_slot;
 use geoplace_network::topology::Topology;
@@ -42,16 +42,6 @@ proptest! {
         let t_clean = clean.global_data_latency(Megabytes(volume), &mut rng);
         let closed_form = volume * 8.0e6 / 100.0e9;
         prop_assert!((t_clean.0 - closed_form).abs() < 1e-6);
-    }
-
-    /// The frame-retransmission model never yields more bandwidth than
-    /// the paper's linear model (it is strictly harsher).
-    #[test]
-    fn frame_model_is_harsher(ber in 0.0f64..0.01) {
-        let bbb = geoplace_types::units::GigabitsPerSecond(100.0);
-        let paper = EffectiveBandwidthModel::PaperLinear.effective(bbb, ber);
-        let frame = EffectiveBandwidthModel::FrameRetransmission.effective(bbb, ber);
-        prop_assert!(frame.0 <= paper.0 + 1e-9);
     }
 
     /// Traffic-matrix accounting: incoming/outgoing sums are consistent

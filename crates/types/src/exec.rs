@@ -50,20 +50,18 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How many worker threads the slot pipeline may use.
 ///
-/// Lives in `ScenarioConfig` (the engine's kernels) and in
-/// `ProposedConfig` (the policy's kernels); thanks to the determinism
-/// contract the setting affects wall-clock only, never results — pin
-/// [`Parallelism::Serial`] for paper-reproduction runs all the same, so
-/// numbers are attributable to one code path without trusting the
-/// contract.
+/// Lives in `ScenarioConfig` only: the engine resolves it once into an
+/// [`Exec`] and hands that same context to the policy with every
+/// `SystemSnapshot`, so the engine's and the policy's kernels share one
+/// budget. Thanks to the determinism contract the setting affects
+/// wall-clock only, never results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Parallelism {
     /// Use every core the OS reports ([`std::thread::available_parallelism`]).
     #[default]
     Auto,
-    /// Single-threaded: run every kernel inline on the calling thread.
-    Serial,
-    /// Exactly this many worker threads (clamped to ≥ 1).
+    /// Exactly this many worker threads (clamped to ≥ 1); `Threads(1)`
+    /// runs every kernel inline on the calling thread.
     Threads(usize),
 }
 
@@ -71,7 +69,6 @@ impl Parallelism {
     /// The concrete worker count this setting resolves to on this host.
     pub fn resolve(self) -> usize {
         match self {
-            Parallelism::Serial => 1,
             Parallelism::Threads(n) => n.max(1),
             // audit:allow(D2): core count picks the worker pool size only; reports are bit-identical at any thread count (parallel_determinism.rs proves it)
             Parallelism::Auto => std::thread::available_parallelism()
@@ -241,7 +238,6 @@ mod tests {
 
     #[test]
     fn parallelism_resolves_sanely() {
-        assert_eq!(Parallelism::Serial.resolve(), 1);
         assert_eq!(Parallelism::Threads(3).resolve(), 3);
         assert_eq!(Parallelism::Threads(0).resolve(), 1);
         assert!(Parallelism::Auto.resolve() >= 1);
@@ -302,7 +298,7 @@ mod tests {
     #[test]
     fn serial_and_parallel_contexts_compare() {
         assert_eq!(Exec::serial().threads(), 1);
-        assert_eq!(Exec::new(Parallelism::Serial), Exec::serial());
+        assert_eq!(Exec::new(Parallelism::Threads(1)), Exec::serial());
         assert!(Exec::default().threads() >= 1);
     }
 }

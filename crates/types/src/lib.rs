@@ -20,6 +20,7 @@
 pub mod arena;
 pub mod error;
 pub mod exec;
+pub mod hash;
 pub mod ids;
 pub mod snap;
 pub mod time;

@@ -49,6 +49,7 @@
 //! ```
 
 use crate::error::{Error, Result};
+use crate::hash::Fnv64;
 
 /// First four bytes of every checkpoint file.
 pub const MAGIC: [u8; 4] = *b"GPCK";
@@ -65,52 +66,6 @@ const MAX_SECTIONS: u32 = 1024;
 
 /// Hard cap on a section name length in bytes.
 const MAX_NAME_LEN: u32 = 64;
-
-/// FNV-1a 64-bit hasher — the workspace-wide cheap deterministic hash,
-/// used for config fingerprints and the per-slot engine state hash.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv64(u64);
-
-impl Fnv64 {
-    /// Starts a hash at the FNV-1a offset basis.
-    pub fn new() -> Self {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds raw bytes into the hash.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    /// Folds a `u32` (little-endian) into the hash.
-    pub fn write_u32(&mut self, v: u32) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    /// Folds a `u64` (little-endian) into the hash.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    /// Folds an `f64` by its exact bit pattern.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// The accumulated hash.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// Fingerprints an arbitrary string (FNV-1a). Scenario configs derive
 /// `Debug`, so `fingerprint_str(&format!("{config:?}"))` is a stable,

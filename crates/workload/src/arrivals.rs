@@ -179,8 +179,6 @@ pub struct ArrivalConfig {
     pub group_size_range: (u32, u32),
     /// Number of groups already running when the simulation starts.
     pub initial_groups: u32,
-    /// Mix of trace archetypes as (web, batch, hpc) weights.
-    pub profile_weights: (f64, f64, f64),
     /// RNG seed for the whole arrival stream.
     pub seed: u64,
     /// Flash-crowd bursts layered on top of the base stream (empty =
@@ -209,7 +207,6 @@ impl Default for ArrivalConfig {
             mean_lifetime_slots: 48.0,
             group_size_range: (1, 6),
             initial_groups: 120,
-            profile_weights: (0.5, 0.35, 0.15),
             seed: 0xA11CE,
             bursts: Vec::new(),
             cohorts: Vec::new(),
@@ -239,12 +236,6 @@ impl ArrivalConfig {
         if lo == 0 || lo > hi {
             return Err(Error::invalid_config(
                 "group_size_range must satisfy 1 <= lo <= hi",
-            ));
-        }
-        let (w, b, h) = self.profile_weights;
-        if w < 0.0 || b < 0.0 || h < 0.0 || w + b + h <= 0.0 {
-            return Err(Error::invalid_config(
-                "profile_weights must be non-negative, not all zero",
             ));
         }
         for burst in &self.bursts {
@@ -332,7 +323,6 @@ impl ArrivalProcess {
     /// Returns [`Error::InvalidConfig`] if the configuration is invalid.
     pub fn new(config: ArrivalConfig) -> Result<Self> {
         config.validate()?;
-        let (w, b, h) = config.profile_weights;
         let classes = if config.mix.is_empty() {
             None
         } else {
@@ -376,12 +366,13 @@ impl ArrivalProcess {
                 (Gigabytes(8.0), 0.1),
             ])
             .expect("static weights are valid"),
+            // Mix of trace archetypes.
             profiles: WeightedChoice::new(vec![
-                (TraceKind::WebServing, w),
-                (TraceKind::Batch, b),
-                (TraceKind::Hpc, h),
+                (TraceKind::WebServing, 0.5),
+                (TraceKind::Batch, 0.35),
+                (TraceKind::Hpc, 0.15),
             ])
-            .ok_or_else(|| Error::invalid_config("profile_weights"))?,
+            .expect("static weights are valid"),
             classes,
             burst_arrivals,
             burst_lifetimes,
@@ -694,10 +685,6 @@ mod tests {
 
         let mut c = ArrivalConfig::default();
         c.group_size_range = (5, 2);
-        assert!(c.validate().is_err());
-
-        let mut c = ArrivalConfig::default();
-        c.profile_weights = (0.0, 0.0, 0.0);
         assert!(c.validate().is_err());
 
         let mut c = ArrivalConfig::default();

@@ -32,6 +32,7 @@
 
 use crate::sparsity::SparsityConfig;
 use crate::window::{peak_of, UtilizationWindows};
+use geoplace_types::hash::splitmix64;
 use geoplace_types::{Exec, VmId};
 
 /// Symmetric pairwise CPU-load correlation structure in `(0, 1]`.
@@ -535,7 +536,7 @@ fn sample_baseline(
     let mut sum = 0.0f64;
     let mut count = 0u32;
     for t in 0..samples.max(1) as u64 {
-        let h = splitmix(t);
+        let h = splitmix64(t);
         let a = order[(h % n as u64) as usize] as usize;
         let b = order[((h >> 32) % n as u64) as usize] as usize;
         if a == b {
@@ -548,13 +549,6 @@ fn sample_baseline(
         return 1.0;
     }
     ((sum / f64::from(count)) as f32).clamp(f32::EPSILON, 1.0)
-}
-
-fn splitmix(n: u64) -> u64 {
-    let mut x = n.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Worst-case peak-coincidence ratio of two utilization windows, in

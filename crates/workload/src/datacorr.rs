@@ -8,12 +8,12 @@
 //! Volumes are generated per the paper: log-normal with an arithmetic mean
 //! of 10 MB (per 5 s sample) and a per-pair log-space variance drawn
 //! uniformly from `[1, 4]`. Traffic lives mostly *inside application
-//! groups*; a configurable fraction of cross-group links models shared
+//! groups*; a configurable number of cross-group links models shared
 //! services. Each slot the rates drift by a bounded multiplicative random
 //! walk (the "runtime change").
 
 use crate::distributions::LogNormal;
-use crate::vm::VmSpec;
+use crate::vm::{GroupId, VmSpec};
 use geoplace_types::time::TICKS_PER_SLOT;
 use geoplace_types::units::Megabytes;
 use geoplace_types::VmId;
@@ -39,30 +39,31 @@ impl PairTraffic {
     }
 }
 
+/// Arithmetic mean of the per-direction volume per 5 s tick (MB) inside
+/// an application group. Paper: 10 MB.
+const INTRA_GROUP_MEAN_MB: f64 = 10.0;
+
+/// Mean volume per tick for cross-group links (MB).
+const CROSS_GROUP_MEAN_MB: f64 = 1.0;
+
+/// Log-space variance range, drawn uniformly per pair direction. Paper:
+/// [1, 4].
+const VARIANCE_RANGE: (f64, f64) = (1.0, 4.0);
+
+/// Per-slot multiplicative drift magnitude of the runtime random walk.
+const DRIFT_SIGMA: f64 = 0.15;
+
 /// Configuration of the data-correlation generator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DataCorrelationConfig {
-    /// Arithmetic mean of the per-direction volume per 5 s tick (MB) inside
-    /// an application group. Paper: 10 MB.
-    pub intra_group_mean_mb: f64,
-    /// Mean volume per tick for cross-group links (MB).
-    pub cross_group_mean_mb: f64,
     /// Number of random cross-group peers each VM connects to on arrival.
     pub cross_links_per_vm: u32,
-    /// Log-space variance range, drawn uniformly per pair. Paper: [1, 4].
-    pub variance_range: (f64, f64),
-    /// Per-slot multiplicative drift magnitude of the runtime random walk.
-    pub drift_sigma: f64,
 }
 
 impl Default for DataCorrelationConfig {
     fn default() -> Self {
         DataCorrelationConfig {
-            intra_group_mean_mb: 10.0,
-            cross_group_mean_mb: 1.0,
             cross_links_per_vm: 2,
-            variance_range: (1.0, 4.0),
-            drift_sigma: 0.15,
         }
     }
 }
@@ -123,14 +124,21 @@ impl DataCorrelation {
         rng: &mut R,
     ) -> Vec<(VmId, VmId)> {
         let mut inserted = Vec::new();
-        // Intra-group full mesh.
+        // Intra-group full mesh: each arrival pairs with the later
+        // arrivals of its group, in arrival order (the order the RNG
+        // draws are pinned to). Indexing the groups first keeps this
+        // linear in the pairs instead of quadratic in the arrivals.
+        let mut members: BTreeMap<GroupId, Vec<usize>> = BTreeMap::new();
+        for (pos, vm) in arrivals.iter().enumerate() {
+            members.entry(vm.group()).or_default().push(pos);
+        }
         for (pos, a) in arrivals.iter().enumerate() {
-            for b in &arrivals[pos + 1..] {
-                if a.group() == b.group() {
-                    let traffic = self.sample_pair(self.config.intra_group_mean_mb, rng);
-                    if self.pairs.insert(key(a.id(), b.id()), traffic).is_none() {
-                        inserted.push(key(a.id(), b.id()));
-                    }
+            let group = &members[&a.group()];
+            for &later in &group[group.partition_point(|&p| p <= pos)..] {
+                let b = &arrivals[later];
+                let traffic = self.sample_pair(INTRA_GROUP_MEAN_MB, rng);
+                if self.pairs.insert(key(a.id(), b.id()), traffic).is_none() {
+                    inserted.push(key(a.id(), b.id()));
                 }
             }
         }
@@ -142,7 +150,7 @@ impl DataCorrelation {
                     if b.id() == a.id() || b.group() == a.group() {
                         continue;
                     }
-                    let traffic = self.sample_pair(self.config.cross_group_mean_mb, rng);
+                    let traffic = self.sample_pair(CROSS_GROUP_MEAN_MB, rng);
                     if let std::collections::btree_map::Entry::Vacant(slot) =
                         self.pairs.entry(key(a.id(), b.id()))
                     {
@@ -189,12 +197,11 @@ impl DataCorrelation {
     /// log-normal multiplicative step, clamped to `[¼, 4]×` its anchor so
     /// traffic stays recognizably "the same application".
     pub fn evolve<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        let sigma = self.config.drift_sigma;
         for traffic in self.pairs.values_mut() {
             let lo = traffic.anchor / 4.0;
             let hi = traffic.anchor * 4.0;
-            let step_a = (sigma * crate::distributions::standard_normal(rng)).exp();
-            let step_b = (sigma * crate::distributions::standard_normal(rng)).exp();
+            let step_a = (DRIFT_SIGMA * crate::distributions::standard_normal(rng)).exp();
+            let step_b = (DRIFT_SIGMA * crate::distributions::standard_normal(rng)).exp();
             traffic.lo_to_hi = (traffic.lo_to_hi * step_a).clamp(lo * 0.5, hi * 0.5);
             traffic.hi_to_lo = (traffic.hi_to_lo * step_b).clamp(lo * 0.5, hi * 0.5);
         }
@@ -355,7 +362,7 @@ impl DataCorrelation {
     }
 
     fn sample_pair<R: Rng + ?Sized>(&self, mean_mb: f64, rng: &mut R) -> PairTraffic {
-        let (var_lo, var_hi) = self.config.variance_range;
+        let (var_lo, var_hi) = VARIANCE_RANGE;
         let direction = |rng: &mut R| {
             let variance = rng.gen_range(var_lo..=var_hi);
             LogNormal::with_arithmetic_mean(mean_mb, variance)
@@ -488,7 +495,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let mut corr = DataCorrelation::new(DataCorrelationConfig {
             cross_links_per_vm: 0,
-            ..DataCorrelationConfig::default()
         });
         corr.connect_arrivals(&vms, &vms, &mut rng);
         let mean: f64 =
@@ -531,8 +537,7 @@ mod tests {
 
     #[test]
     fn config_default_matches_paper() {
-        let c = DataCorrelationConfig::default();
-        assert_eq!(c.intra_group_mean_mb, 10.0);
-        assert_eq!(c.variance_range, (1.0, 4.0));
+        assert_eq!(INTRA_GROUP_MEAN_MB, 10.0);
+        assert_eq!(VARIANCE_RANGE, (1.0, 4.0));
     }
 }

@@ -439,7 +439,7 @@ impl VmFleet {
     pub fn state_fingerprint(&self) -> u64 {
         let mut w = geoplace_types::snap::SnapWriter::new();
         geoplace_types::snap::Snapshot::save_state(self, &mut w);
-        let mut h = geoplace_types::snap::Fnv64::new();
+        let mut h = geoplace_types::hash::Fnv64::new();
         h.write_bytes(&w.into_bytes());
         h.finish()
     }
@@ -731,7 +731,6 @@ mod tests {
             },
             data: crate::datacorr::DataCorrelationConfig {
                 cross_links_per_vm: 0,
-                ..crate::datacorr::DataCorrelationConfig::default()
             },
         };
         let mut fleet = VmFleet::new(config).unwrap();

@@ -18,6 +18,7 @@
 //! template is stretched to a week through per-day scale factors with mean
 //! 1.0, mirroring the paper's extension procedure.
 
+use geoplace_types::hash::hash_to_unit;
 use geoplace_types::time::{Tick, TimeSlot, SLOTS_PER_DAY, TICKS_PER_SLOT};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -249,20 +250,6 @@ impl VmTrace {
             .map(|t| self.utilization_at(t))
             .fold(0.0, f64::max)
     }
-}
-
-/// SplitMix64 — deterministic avalanche hash used for procedural noise.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Hash `(seed, n)` to a uniform float in `[0, 1)`.
-fn hash_to_unit(seed: u64, n: u64) -> f64 {
-    let h = splitmix64(seed.wrapping_mul(0x9E37_79B9).wrapping_add(n));
-    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Hash `(seed, n)` to a uniform float in `[-1, 1)`.
