@@ -54,7 +54,7 @@ impl AuditReport {
 }
 
 /// Audits every `.rs` file under `root` (recursively, skipping
-/// [`SKIP_DIRS`]). Paths in findings are `root`-relative with `/`
+/// `SKIP_DIRS`). Paths in findings are `root`-relative with `/`
 /// separators, which is also what scopes the rules.
 ///
 /// # Errors

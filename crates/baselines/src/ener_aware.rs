@@ -1,5 +1,5 @@
 //! Ener-aware — the energy-minimizing comparator (Kim et al., DATE 2013;
-//! the paper's ref [5]).
+//! the paper's ref \[5\]).
 //!
 //! "The Ener-aware approach first uses the FFD clustering heuristic,
 //! placing VMs into the first DC in which its load capacity fits, and
@@ -74,7 +74,7 @@ impl GlobalPolicy for EnerAwarePolicy {
         }
 
         // Local phase: the correlation-aware allocator with DVFS — this
-        // *is* ref [5]'s contribution, shared with the Proposed policy.
+        // *is* ref \[5\]'s contribution, shared with the Proposed policy.
         for (dc_index, positions) in members.iter().enumerate() {
             let dc = DcId(dc_index as u16);
             for assignment in allocate(

@@ -2,12 +2,12 @@
 //! re-implemented from their published descriptions:
 //!
 //! * [`PriAwarePolicy`] — cost-aware placement onto the cheapest-grid DCs
-//!   (Gu et al., ICNC 2015 — ref [17]);
+//!   (Gu et al., ICNC 2015 — ref \[17\]);
 //! * [`EnerAwarePolicy`] — FFD across DCs + correlation-aware
 //!   consolidation and DVFS inside each DC (Kim et al., DATE 2013 —
-//!   ref [5]);
+//!   ref \[5\]);
 //! * [`NetAwarePolicy`] — communication-component co-location with
-//!   relative load balancing (Biran et al., CCGRID 2012 — ref [6]).
+//!   relative load balancing (Biran et al., CCGRID 2012 — ref \[6\]).
 //!
 //! All three implement [`geoplace_dcsim::policy::GlobalPolicy`] and run
 //! under the same engine and the same green controller as the Proposed

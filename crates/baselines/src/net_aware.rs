@@ -1,5 +1,5 @@
 //! Net-aware — the network-balancing comparator (Biran et al.,
-//! CCGRID 2012; the paper's ref [6], "GH" heuristic).
+//! CCGRID 2012; the paper's ref \[6\], "GH" heuristic).
 //!
 //! "The goal of Net-aware is to balance the network across DCs" while
 //! keeping communicating VMs together. We reproduce the GH (greedy

@@ -1,5 +1,5 @@
 //! Pri-aware — the cost-aware comparator (Gu et al., ICNC 2015; the
-//! paper's ref [17]).
+//! paper's ref \[17\]).
 //!
 //! "In Pri-aware, the VMs are packed and placed onto DCs and servers with
 //! the lowest current grid price, but it neglects to maximize free

@@ -8,7 +8,7 @@
 //! so one response is always one line.
 //!
 //! Because the parser sits on the untrusted side of a long-running
-//! service, nesting is capped at [`MAX_DEPTH`] levels: unbounded
+//! service, nesting is capped at `MAX_DEPTH` levels: unbounded
 //! recursion on a hostile `[[[[…` line would overflow the stack and
 //! kill the session, which the serve protocol promises never happens.
 

@@ -307,11 +307,11 @@ pub fn dense_sparse_pair(base: &ScenarioConfig) -> (ScenarioConfig, ScenarioConf
 pub enum PolicyKind {
     /// The paper's two-phase multi-objective placement.
     Proposed,
-    /// Cost-aware baseline (ref [17]).
+    /// Cost-aware baseline (ref \[17\]).
     PriAware,
-    /// Energy-aware baseline (ref [5]).
+    /// Energy-aware baseline (ref \[5\]).
     EnerAware,
-    /// Network-aware baseline (ref [6]).
+    /// Network-aware baseline (ref \[6\]).
     NetAware,
 }
 
@@ -430,8 +430,8 @@ pub const GOLDEN_HEADER: &str = "# scenario\tpolicy\tseed\tdigest";
 
 /// Path of the committed golden digest file — the single definition
 /// shared by the `scenario_matrix` binary and the tier-1 golden test,
-/// so the `--update` and `GOLDEN_UPDATE=1` regeneration paths can
-/// never write to different places.
+/// so the file `scenario_matrix -- --quick --update` writes is the one
+/// the test reads.
 pub fn golden_digests_path() -> std::path::PathBuf {
     std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/digests.tsv")
 }

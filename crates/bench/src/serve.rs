@@ -2,7 +2,7 @@
 //! line-delimited JSON.
 //!
 //! One [`Session`] wraps a [`SlotStepper`] plus a policy and a
-//! [`DeltaSource`], and maps protocol commands onto the slot lifecycle:
+//! [`DeltaSource`](geoplace_workload::source::DeltaSource), and maps protocol commands onto the slot lifecycle:
 //!
 //! | Command | Phase | Effect |
 //! |---|---|---|
@@ -185,11 +185,6 @@ impl Session {
     /// The underlying stepper (inspection from tests and benches).
     pub fn stepper(&self) -> &SlotStepper {
         &self.stepper
-    }
-
-    /// The served policy's display name.
-    pub fn policy_name(&self) -> &str {
-        self.policy.name()
     }
 
     /// The report digest over the slots completed so far.

@@ -3,9 +3,10 @@
 //! Proptest generates small worlds — random arrival regimes, scripted
 //! trace arrivals, and event timelines mixing every [`EventKind`]
 //! (including outages, partitions and cascades) — and runs short
-//! horizons across all four policies. Every slot's observation is
-//! checked against a from-scratch rebuild, and every run must uphold
-//! the invariants no perturbation is allowed to break:
+//! horizons across all four policies. A timeline that downs every DC
+//! at once must fail validation and is not run. Every slot's
+//! observation is checked against a from-scratch rebuild, and every run
+//! must uphold the invariants no perturbation is allowed to break:
 //!
 //! * **Ledger conservation** — [`SimulationReport::totals`] equals the
 //!   sum of its own hourly records (cost, energy, migrations);
@@ -147,16 +148,29 @@ fn usable_capacity(config: &ScenarioConfig, slot: TimeSlot) -> u32 {
         .iter()
         .enumerate()
         .map(|(d, dc)| {
-            if config.timeline.outage_modulator(d).factor_at(slot) < 0.5 {
+            let factors = config.timeline.resolve(d, slot);
+            if factors.outaged {
                 1
             } else {
-                effective_servers(
-                    dc.servers,
-                    config.timeline.capacity_modulator(d).factor_at(slot),
-                )
+                effective_servers(dc.servers, factors.capacity)
             }
         })
         .sum()
+}
+
+/// Whether the raw events down every DC of `config` at some slot,
+/// read off the events themselves rather than through the timeline.
+fn downs_every_dc(config: &ScenarioConfig, events: &[RawEvent]) -> bool {
+    let events: Vec<EngineEvent> = events.iter().map(|&raw| lower_event(raw)).collect();
+    (0..16u32).any(|slot| {
+        (0..config.dcs.len()).all(|d| {
+            events.iter().any(|e| {
+                e.kind == EventKind::DcOutage
+                    && e.targets(d)
+                    && (e.start_slot..e.end_slot).contains(&slot)
+            })
+        })
+    })
 }
 
 fn run_at(config: &ScenarioConfig, kind: PolicyKind, threads: usize) -> SimulationReport {
@@ -240,6 +254,10 @@ proptest! {
         scripts in proptest::collection::vec(script_strategy(), 0..4),
     ) {
         let config = fuzzed_config(seed, initial_groups, groups_per_slot, horizon, &events, &scripts);
+        if downs_every_dc(&config, &events) {
+            prop_assert!(config.validate().is_err(), "a fleet-wide outage must be refused");
+            return Ok(());
+        }
         prop_assert!(config.validate().is_ok(), "fuzzed config invalid: {:?}", config.validate());
         for policy in PolicyKind::ALL {
             let reference = run_at(&config, policy, 1);

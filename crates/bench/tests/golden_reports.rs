@@ -11,19 +11,17 @@
 //! **Regenerating after an intentional behavior change:**
 //!
 //! ```text
-//! GOLDEN_UPDATE=1 cargo test -p geoplace_bench --test golden_reports
-//! # or, equivalently:
 //! cargo run --release --bin scenario_matrix -- --quick --update
 //! ```
 //!
-//! Both paths produce identical files (they share
-//! `quick_matrix_config` and the canonical row format). Commit the
-//! rewritten `digests.tsv` together with the change that moved the
-//! numbers, and say why in the PR.
+//! This test and the matrix share `quick_matrix_config` and the
+//! canonical row format, so the regenerated file is the one this test
+//! checks. Commit the rewritten `digests.tsv` together with the change
+//! that moved the numbers, and say why in the PR.
 
 use geoplace_bench::scenario::{
-    golden_digests_path, golden_row, parse_golden_file, quick_matrix_config, render_golden_file,
-    run_policy, PolicyKind, QUICK_MATRIX_SEEDS,
+    golden_digests_path, golden_row, parse_golden_file, quick_matrix_config, run_policy,
+    PolicyKind, QUICK_MATRIX_SEEDS,
 };
 
 /// Recomputes the digest rows for the given seeds, in registry order.
@@ -43,22 +41,10 @@ fn compute_rows(seeds: &[u64]) -> Vec<String> {
 
 #[test]
 fn golden_digests_match_the_committed_matrix() {
-    // audit:allow(D2): GOLDEN_UPDATE is the explicit regeneration opt-in; it gates which file is written, never what the engine computes
-    if std::env::var("GOLDEN_UPDATE").is_ok() {
-        let rows = compute_rows(&QUICK_MATRIX_SEEDS);
-        std::fs::write(golden_digests_path(), render_golden_file(&rows))
-            .expect("write golden digests");
-        eprintln!(
-            "golden digests regenerated at {}",
-            golden_digests_path().display()
-        );
-        return;
-    }
-
     let committed = std::fs::read_to_string(golden_digests_path()).unwrap_or_else(|e| {
         panic!(
-            "{}: {e}\nGenerate the goldens first: GOLDEN_UPDATE=1 cargo test \
-             -p geoplace_bench --test golden_reports",
+            "{}: {e}\nGenerate the goldens first: cargo run --release --bin \
+             scenario_matrix -- --quick --update",
             golden_digests_path().display()
         )
     });
@@ -71,7 +57,8 @@ fn golden_digests_match_the_committed_matrix() {
     assert_eq!(
         golden.len(),
         expected_cells,
-        "golden file has {} rows, the quick matrix has {expected_cells} cells — regenerate",
+        "golden file has {} rows, the quick matrix has {expected_cells} cells — regenerate \
+         with `scenario_matrix -- --quick --update`",
         golden.len()
     );
 
@@ -89,7 +76,8 @@ fn golden_digests_match_the_committed_matrix() {
     }
     assert!(
         drifted.is_empty(),
-        "golden digests drifted (intentional? regenerate per the header):\n{}",
+        "golden digests drifted (intentional? regenerate with \
+         `scenario_matrix -- --quick --update`):\n{}",
         drifted.join("\n")
     );
 }

@@ -5,11 +5,11 @@
 //!   data-correlation attraction (Eq. 5–7);
 //! * [`caps`] — per-DC capacity caps from battery, PV forecast and grid
 //!   price (the operational-cost lever);
-//! * [`kmeans`] — capacity-capped, warm-started k-means clustering;
+//! * [`kmeans`](mod@kmeans) — capacity-capped, warm-started k-means clustering;
 //! * [`migrate`] — Algorithm 2, the latency-constrained migration
 //!   revision;
 //! * [`local`] — correlation-aware FFD server packing + DVFS (after
-//!   Kim et al., DATE 2013 — the paper's ref [5]);
+//!   Kim et al., DATE 2013 — the paper's ref \[5\]);
 //! * [`proposed`] — all of it assembled as the [`ProposedPolicy`]
 //!   implementing [`geoplace_dcsim::policy::GlobalPolicy`].
 //!

@@ -2,7 +2,7 @@
 //!
 //! "We use only CPU-load correlation to allocate VMs to the minimum number
 //! of servers […]. Hence, we base our implementation on the best algorithm
-//! [5] for VMs allocation" — Kim et al., DATE 2013. The key idea of that
+//! \[5\] for VMs allocation" — Kim et al., DATE 2013. The key idea of that
 //! allocator: instead of reserving each VM's *individual* peak (sum of
 //! peaks ≫ real demand when peaks do not coincide), check the **combined
 //! window peak** of the candidate server's residents plus the new VM. Two

@@ -99,23 +99,9 @@ impl SnapshotFixture {
         self
     }
 
-    /// Replaces the CPU-correlation structure (e.g. with a sparse top-k
-    /// build over the same windows).
-    pub fn with_cpu(mut self, cpu: CpuCorrelationMatrix) -> Self {
-        self.cpu = cpu;
-        self
-    }
-
     /// The windows the fixture was built over.
     pub fn windows(&self) -> &UtilizationWindows {
         &self.windows
-    }
-
-    /// Overrides one DC's relative price (instantaneous and day-averaged).
-    pub fn with_relative_price(mut self, dc: usize, relative_price: f64) -> Self {
-        self.dcs[dc].relative_price = relative_price;
-        self.dcs[dc].avg_relative_price = relative_price;
-        self
     }
 
     /// Overrides one DC's absolute tariff.
@@ -127,21 +113,6 @@ impl SnapshotFixture {
     /// Overrides one DC's server count.
     pub fn with_servers(mut self, dc: usize, servers: u32) -> Self {
         self.dcs[dc].servers = servers;
-        self
-    }
-
-    /// Overrides one DC's free-energy outlook (battery + forecast).
-    pub fn with_free_energy(mut self, dc: usize, battery: f64, forecast: f64) -> Self {
-        self.dcs[dc].battery_available = Joules(battery);
-        self.dcs[dc].pv_forecast = Joules(forecast);
-        self
-    }
-
-    /// Overrides the last-slot total energy of a DC (the caps' last-value
-    /// predictor input).
-    pub fn with_last_energy(mut self, dc: usize, energy: f64) -> Self {
-        self.dcs[dc].last_total_energy = Joules(energy);
-        self.dcs[dc].last_it_energy = Joules(energy / 1.2);
         self
     }
 

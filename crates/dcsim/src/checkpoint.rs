@@ -1,8 +1,8 @@
 //! Versioned checkpoint/resume for whole runs.
 //!
-//! The [`SlotStepper`](crate::stepper::SlotStepper) knows how to snapshot
-//! *engine* state (`SlotStepper::checkpoint` / `restore`); this module
-//! layers the two remaining pieces on top:
+//! The [`SlotStepper`] knows how to snapshot *engine* state
+//! (`SlotStepper::checkpoint` / `restore`); this module layers the two
+//! remaining pieces on top:
 //!
 //! * **policy state** — [`checkpoint_with_policy`] adds a `policy`
 //!   section carrying the policy's name and its

@@ -189,9 +189,23 @@ mod tests {
 
     #[test]
     fn scenario_rejects_invalid_config() {
+        use crate::events::{EngineEvent, EventKind};
         let mut c = tiny_config();
         c.horizon_slots = 0;
         assert!(Scenario::build(&c).is_err());
+        // Every DC down at once leaves nowhere to evacuate to.
+        let mut c = ScenarioConfig::scaled(42);
+        c.horizon_slots = 6;
+        for dc in 0..3 {
+            c.timeline.push(EngineEvent {
+                dc: Some(dc),
+                start_slot: 2,
+                end_slot: 4,
+                kind: EventKind::DcOutage,
+            });
+        }
+        let err = Scenario::build(&c).unwrap_err().to_string();
+        assert!(err.contains("every DC is outaged at slot 2 "), "{err}");
     }
 
     #[test]

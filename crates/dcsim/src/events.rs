@@ -4,22 +4,21 @@
 //! The paper evaluates one stationary diurnal regime; the scenario
 //! library stresses the policies with *transients* — maintenance windows
 //! that derate a DC's usable capacity, tariff spikes, PV droughts. An
-//! [`EventTimeline`] is the engine-facing form of those perturbations:
-//! a set of [`EngineEvent`]s over half-open slot windows, kept in a
-//! canonical order so that
+//! [`EventTimeline`] is the one form of those perturbations, from a
+//! scenario preset to the engine's tick loop: a set of [`EngineEvent`]s
+//! over half-open slot windows, kept in a canonical order so that
 //!
 //! * building the same event set in any insertion order yields the same
 //!   timeline (and bit-identical per-slot factors — the fold order of
 //!   overlapping factors is fixed), and
-//! * resolution is a pure function of `(timeline, slot)`: re-applying a
-//!   timeline never compounds (idempotence), because events scale the
-//!   *base* series, not the previously scaled one.
+//! * resolution is a pure function of `(timeline, dc, slot)`:
+//!   re-applying a timeline never compounds (idempotence), because
+//!   events scale the *base* series, not the previously scaled one.
 //!
-//! The engine resolves the timeline once per run into per-DC
-//! [`SlotModulator`]s and queries them at slot granularity; ticks within
-//! a slot share the slot's factors.
+//! The engine calls [`EventTimeline::resolve`] once per DC as it enters
+//! a slot; ticks within the slot share the slot's [`SlotFactors`].
 
-use geoplace_energy::modulate::{ModSegment, SlotModulator};
+use geoplace_types::time::TimeSlot;
 use geoplace_types::{Error, Result};
 use serde::{Deserialize, Serialize};
 
@@ -54,7 +53,8 @@ pub enum EventKind {
     /// committing the evacuations even past the latency budget (they
     /// still crowd the plan's link volumes, so concurrent voluntary
     /// migrations feel the bandwidth pressure). Requires a concrete
-    /// target DC — "every DC is down" leaves nowhere to evacuate to.
+    /// target DC, and the timeline must keep one DC up at every slot —
+    /// "every DC is down" leaves nowhere to evacuate to.
     DcOutage,
     /// Degrades inter-DC links touching the target DC (or every link,
     /// when the target is `None`) to `factor` ∈ (0, 1] of their
@@ -86,6 +86,15 @@ impl EventKind {
             EventKind::DcOutage => 3,
             EventKind::NetworkPartition { .. } => 4,
             EventKind::CascadeDerate { .. } => 5,
+        }
+    }
+
+    /// Which of a slot's factors the kind scales, by the rank of the
+    /// kind that owns it: a cascade scales capacity, like a plain derate.
+    fn scaled_rank(&self) -> u8 {
+        match self {
+            EventKind::CascadeDerate { .. } => 0,
+            kind => kind.rank(),
         }
     }
 
@@ -158,6 +167,28 @@ impl EngineEvent {
         }
     }
 
+    /// The event's half-open slot window at DC `dc`, or `None` when the
+    /// event never reaches that DC. A cascade rooted at `origin` reaches
+    /// DC `d ≥ origin` with its window shifted by `(d - origin) ·
+    /// lag_slots` (saturating, so a window shifted off the end of `u32`
+    /// collapses to empty); an origin-less cascade, which validation
+    /// refuses, reaches no DC.
+    fn window_at(&self, dc: usize) -> Option<(u32, u32)> {
+        match self.kind {
+            EventKind::CascadeDerate { lag_slots, .. } => {
+                let steps = dc.checked_sub(usize::from(self.dc?))?;
+                let shift = u32::try_from(steps)
+                    .unwrap_or(u32::MAX)
+                    .saturating_mul(lag_slots);
+                Some((
+                    self.start_slot.saturating_add(shift),
+                    self.end_slot.saturating_add(shift),
+                ))
+            }
+            _ => self.targets(dc).then_some((self.start_slot, self.end_slot)),
+        }
+    }
+
     /// Canonical ordering key: slot window, then target, then kind, then
     /// factor bits, then any kind-specific auxiliary parameter — a total
     /// order, so sorting is deterministic. The aux component matters:
@@ -214,6 +245,25 @@ impl EngineEvent {
     }
 }
 
+/// The timeline's effect on one DC during one slot, as
+/// [`EventTimeline::resolve`] returns it. With no event covering the
+/// slot every factor is 1.0 and the DC is up.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SlotFactors {
+    /// Usable server fraction: plain derates targeting the DC and every
+    /// cascade front that reaches it.
+    pub capacity: f64,
+    /// Tariff multiplier.
+    pub price: f64,
+    /// PV output multiplier.
+    pub pv: f64,
+    /// Residual bandwidth fraction of the inter-DC links touching the
+    /// DC under network partitions.
+    pub link: f64,
+    /// Whether an outage window covers the slot.
+    pub outaged: bool,
+}
+
 /// A canonically ordered set of engine events.
 ///
 /// # Examples
@@ -229,10 +279,9 @@ impl EngineEvent {
 ///     end_slot: 12,
 ///     kind: EventKind::PriceSpike { factor: 4.0 },
 /// });
-/// let price = timeline.price_modulator(0);
-/// assert_eq!(price.factor_at(TimeSlot(7)), 4.0);
-/// assert_eq!(price.factor_at(TimeSlot(12)), 1.0);
-/// assert!(timeline.price_modulator(1).is_identity());
+/// assert_eq!(timeline.resolve(0, TimeSlot(7)).price, 4.0);
+/// assert_eq!(timeline.resolve(0, TimeSlot(12)).price, 1.0);
+/// assert_eq!(timeline.resolve(1, TimeSlot(7)).price, 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct EventTimeline {
@@ -269,100 +318,75 @@ impl EventTimeline {
         &self.events
     }
 
-    /// Validates every event against the scenario's DC count.
+    /// Validates every event against the scenario's DC count, and that
+    /// some DC stays up at every slot.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] for the first invalid event.
+    /// Returns [`Error::InvalidConfig`] for the first invalid event, or
+    /// naming the first slot at which every DC is outaged.
     pub fn validate(&self, n_dcs: usize) -> Result<()> {
         for event in &self.events {
             event.validate(n_dcs)?;
         }
+        // The set of downed DCs grows only where an outage starts, and
+        // the events are in start order, so this finds the first slot
+        // with no DC left up, if there is one.
+        for event in &self.events {
+            if event.kind != EventKind::DcOutage {
+                continue;
+            }
+            let slot = TimeSlot(event.start_slot);
+            if (0..n_dcs).all(|dc| self.resolve(dc, slot).outaged) {
+                return Err(Error::invalid_config(format!(
+                    "every DC is outaged at {slot}: a fleet-wide outage \
+                     leaves nowhere to evacuate to"
+                )));
+            }
+        }
         Ok(())
     }
 
-    /// The composed per-slot modulator of one kind for one DC.
-    fn modulator_of(&self, dc: usize, rank: u8) -> SlotModulator {
-        let segments: Vec<ModSegment> = self
+    /// The timeline's factors for DC `dc` at `slot`.
+    ///
+    /// Per factor, the covering events multiply in the `(start, end,
+    /// factor bits)` order of their windows at `dc` — a cascade's window
+    /// shifted to when its front reaches the DC. The order is a function
+    /// of the event set alone, so the floating-point product is
+    /// bit-identical whatever order the events were inserted in.
+    /// Resolution never panics on a timeline that fails
+    /// [`validate`](Self::validate): an empty window covers no slot, and
+    /// out-of-range factors resolve as given.
+    pub fn resolve(&self, dc: usize, slot: TimeSlot) -> SlotFactors {
+        // (scaled factor, window start, window end, factor bits) of
+        // every event covering the DC at `slot`.
+        let mut covering: Vec<(u8, u32, u32, u64)> = self
             .events
             .iter()
-            .filter(|e| e.kind.rank() == rank && e.targets(dc))
-            .map(|e| ModSegment {
-                start_slot: e.start_slot,
-                end_slot: e.end_slot,
-                factor: e.kind.factor(),
+            .filter_map(|event| {
+                let (start, end) = event.window_at(dc)?;
+                (start..end).contains(&slot.0).then(|| {
+                    let factor = event.kind.factor().to_bits();
+                    (event.kind.scaled_rank(), start, end, factor)
+                })
             })
             .collect();
-        // Infallible lowering: `ScenarioConfig::validate` (via
-        // `EventTimeline::validate`) is the gate that rejects bad
-        // events; resolving an unvalidated timeline must not panic.
-        SlotModulator::from_segments(segments)
-    }
-
-    /// Capacity factor schedule of DC `dc`: plain derates targeting the
-    /// DC, plus every cascade whose front reaches it. A cascade rooted
-    /// at `origin` hits DC `d ≥ origin` with its window shifted by
-    /// `(d - origin) · lag_slots` (saturating; a window shifted off the
-    /// end of `u32` collapses to empty and is dropped). Segments are
-    /// collected in canonical event order, so the overlap fold is
-    /// insertion-order independent.
-    pub fn capacity_modulator(&self, dc: usize) -> SlotModulator {
-        let mut segments: Vec<ModSegment> = Vec::new();
-        for event in &self.events {
-            match event.kind {
-                EventKind::CapacityDerate { factor } if event.targets(dc) => {
-                    segments.push(ModSegment {
-                        start_slot: event.start_slot,
-                        end_slot: event.end_slot,
-                        factor,
-                    });
-                }
-                EventKind::CascadeDerate { factor, lag_slots } => {
-                    // An origin-less cascade never passes validation;
-                    // lowering one is inert rather than a panic.
-                    let Some(origin) = event.dc else { continue };
-                    let origin = usize::from(origin);
-                    if dc < origin {
-                        continue;
-                    }
-                    let steps = u32::try_from(dc - origin).unwrap_or(u32::MAX);
-                    let shift = steps.saturating_mul(lag_slots);
-                    let start = event.start_slot.saturating_add(shift);
-                    let end = event.end_slot.saturating_add(shift);
-                    if start < end {
-                        segments.push(ModSegment {
-                            start_slot: start,
-                            end_slot: end,
-                            factor,
-                        });
-                    }
-                }
-                _ => {}
-            }
+        covering.sort_unstable();
+        // One product per scaled factor, indexed by the owning kind's
+        // rank; the sort above fixes each product's fold order.
+        let mut product = [1.0f64; 5];
+        for &(rank, _, _, bits) in &covering {
+            product[usize::from(rank)] *= f64::from_bits(bits);
         }
-        SlotModulator::from_segments(segments)
-    }
-
-    /// Outage schedule of DC `dc`: factor 0 while the DC is down, 1
-    /// otherwise (overlapping outages still multiply to 0).
-    pub fn outage_modulator(&self, dc: usize) -> SlotModulator {
-        self.modulator_of(dc, 3)
-    }
-
-    /// Link bandwidth schedule of DC `dc`: the residual fraction of the
-    /// inter-DC links touching it under active network partitions.
-    pub fn link_modulator(&self, dc: usize) -> SlotModulator {
-        self.modulator_of(dc, 4)
-    }
-
-    /// Tariff factor schedule of DC `dc`.
-    pub fn price_modulator(&self, dc: usize) -> SlotModulator {
-        self.modulator_of(dc, 1)
-    }
-
-    /// PV factor schedule of DC `dc`.
-    pub fn pv_modulator(&self, dc: usize) -> SlotModulator {
-        self.modulator_of(dc, 2)
+        let [capacity, price, pv, outage, link] = product;
+        SlotFactors {
+            capacity,
+            price,
+            pv,
+            link,
+            // An outage's factor is 0, so any covering outage zeroes it.
+            outaged: outage == 0.0,
+        }
     }
 }
 
@@ -379,7 +403,14 @@ pub fn effective_servers(servers: u32, factor: f64) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use geoplace_types::time::TimeSlot;
+
+    const UNPERTURBED: SlotFactors = SlotFactors {
+        capacity: 1.0,
+        price: 1.0,
+        pv: 1.0,
+        link: 1.0,
+        outaged: false,
+    };
 
     fn derate(dc: Option<u16>, start: u32, end: u32, factor: f64) -> EngineEvent {
         EngineEvent {
@@ -390,17 +421,34 @@ mod tests {
         }
     }
 
+    fn spike(dc: Option<u16>, start: u32, end: u32, factor: f64) -> EngineEvent {
+        EngineEvent {
+            dc,
+            start_slot: start,
+            end_slot: end,
+            kind: EventKind::PriceSpike { factor },
+        }
+    }
+
+    /// The factors' exact bit patterns, for bit-identity assertions.
+    fn bits(f: SlotFactors) -> [u64; 5] {
+        [
+            f.capacity.to_bits(),
+            f.price.to_bits(),
+            f.pv.to_bits(),
+            f.link.to_bits(),
+            u64::from(f.outaged),
+        ]
+    }
+
     #[test]
     fn insertion_order_is_irrelevant() {
         let events = vec![
             derate(Some(1), 4, 8, 0.5),
             derate(None, 0, 24, 0.9),
-            EngineEvent {
-                dc: Some(0),
-                start_slot: 2,
-                end_slot: 6,
-                kind: EventKind::PriceSpike { factor: 3.0 },
-            },
+            spike(Some(0), 2, 6, 3.0),
+            spike(None, 0, 8, 1.5),
+            spike(Some(0), 4, 12, 0.25),
         ];
         let forward = EventTimeline::new(events.clone());
         let mut reversed = EventTimeline::default();
@@ -412,11 +460,65 @@ mod tests {
             for slot in 0..30u32 {
                 let slot = TimeSlot(slot);
                 assert_eq!(
-                    forward.capacity_modulator(dc).factor_at(slot).to_bits(),
-                    reversed.capacity_modulator(dc).factor_at(slot).to_bits()
+                    bits(forward.resolve(dc, slot)),
+                    bits(reversed.resolve(dc, slot)),
+                    "dc {dc}, {slot}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn an_empty_timeline_leaves_every_slot_unperturbed() {
+        let timeline = EventTimeline::default();
+        assert!(timeline.validate(3).is_ok());
+        for dc in 0..3usize {
+            for slot in 0..200u32 {
+                assert_eq!(timeline.resolve(dc, TimeSlot(slot)), UNPERTURBED);
+            }
+        }
+    }
+
+    #[test]
+    fn windows_are_half_open_and_overlaps_multiply() {
+        let timeline = EventTimeline::new(vec![
+            derate(Some(0), 10, 20, 0.5),
+            spike(Some(0), 0, 10, 2.0),
+            spike(Some(0), 5, 15, 3.0),
+        ]);
+        let capacity = |slot| timeline.resolve(0, TimeSlot(slot)).capacity;
+        assert_eq!(capacity(9), 1.0);
+        assert_eq!(capacity(10), 0.5);
+        assert_eq!(capacity(19), 0.5);
+        assert_eq!(capacity(20), 1.0);
+        let price = |slot| timeline.resolve(0, TimeSlot(slot)).price;
+        assert_eq!(price(2), 2.0);
+        assert_eq!(price(7), 6.0);
+        assert_eq!(price(12), 3.0);
+        assert_eq!(price(15), 1.0);
+    }
+
+    #[test]
+    fn same_window_factors_fold_in_window_then_factor_order() {
+        // The timeline's canonical order puts fleet-wide events before
+        // targeted ones, which would fold DC 0's spikes as
+        // 0.1 · 0.3 · 0.1 = 0.003. Resolution folds by (window, factor
+        // bits) instead — 0.1 · 0.1 · 0.3 — and every recorded golden
+        // digest carries that product.
+        let timeline = EventTimeline::new(vec![
+            spike(None, 2, 6, 0.1),
+            spike(Some(0), 2, 6, 0.1),
+            spike(None, 2, 6, 0.3),
+        ]);
+        let slot = TimeSlot(3);
+        assert_eq!(
+            timeline.resolve(0, slot).price.to_bits(),
+            0.0030000000000000005_f64.to_bits()
+        );
+        assert_eq!(
+            timeline.resolve(1, slot).price.to_bits(),
+            (0.1_f64 * 0.3).to_bits()
+        );
     }
 
     #[test]
@@ -432,15 +534,11 @@ mod tests {
     #[test]
     fn events_target_the_right_dc() {
         let timeline = EventTimeline::new(vec![derate(Some(1), 0, 10, 0.5)]);
-        assert!(timeline.capacity_modulator(0).is_identity());
-        assert_eq!(timeline.capacity_modulator(1).factor_at(TimeSlot(3)), 0.5);
+        assert_eq!(timeline.resolve(0, TimeSlot(3)), UNPERTURBED);
+        assert_eq!(timeline.resolve(1, TimeSlot(3)).capacity, 0.5);
         let fleet_wide = EventTimeline::new(vec![derate(None, 0, 10, 0.5)]);
         for dc in 0..3usize {
-            assert_eq!(
-                fleet_wide.capacity_modulator(dc).factor_at(TimeSlot(3)),
-                0.5,
-                "dc {dc}"
-            );
+            assert_eq!(fleet_wide.resolve(dc, TimeSlot(3)).capacity, 0.5, "dc {dc}");
         }
     }
 
@@ -453,17 +551,16 @@ mod tests {
                 end_slot: 4,
                 kind: EventKind::PvDerate { factor: 0.3 },
             },
-            EngineEvent {
-                dc: None,
-                start_slot: 0,
-                end_slot: 4,
-                kind: EventKind::PriceSpike { factor: 2.0 },
-            },
+            spike(None, 0, 4, 2.0),
         ]);
-        let slot = TimeSlot(1);
-        assert_eq!(timeline.pv_modulator(0).factor_at(slot), 0.3);
-        assert_eq!(timeline.price_modulator(0).factor_at(slot), 2.0);
-        assert_eq!(timeline.capacity_modulator(0).factor_at(slot), 1.0);
+        assert_eq!(
+            timeline.resolve(0, TimeSlot(1)),
+            SlotFactors {
+                pv: 0.3,
+                price: 2.0,
+                ..UNPERTURBED
+            }
+        );
     }
 
     #[test]
@@ -474,13 +571,7 @@ mod tests {
         assert!(derate(None, 0, 5, 1.5).validate(n).is_err());
         assert!(derate(Some(3), 0, 5, 0.5).validate(n).is_err());
         assert!(derate(Some(2), 0, 5, 0.5).validate(n).is_ok());
-        let spike = EngineEvent {
-            dc: None,
-            start_slot: 0,
-            end_slot: 2,
-            kind: EventKind::PriceSpike { factor: 0.0 },
-        };
-        assert!(spike.validate(n).is_err());
+        assert!(spike(None, 0, 2, 0.0).validate(n).is_err());
         let dark = EngineEvent {
             dc: None,
             start_slot: 0,
@@ -492,13 +583,12 @@ mod tests {
 
     #[test]
     fn resolving_an_unvalidated_timeline_never_panics() {
-        // Validation lives in `validate()`; lowering must tolerate a
+        // Validation lives in `validate()`; resolution must tolerate a
         // timeline that has not passed it. An empty window is inert.
         let timeline = EventTimeline::new(vec![derate(Some(0), 5, 5, 0.5)]);
         assert!(timeline.validate(3).is_err());
-        let modulator = timeline.capacity_modulator(0);
         for slot in 0..10u32 {
-            assert_eq!(modulator.factor_at(TimeSlot(slot)), 1.0);
+            assert_eq!(timeline.resolve(0, TimeSlot(slot)), UNPERTURBED);
         }
     }
 
@@ -546,6 +636,23 @@ mod tests {
     }
 
     #[test]
+    fn a_timeline_that_downs_every_dc_at_once_is_refused() {
+        let overlapping =
+            EventTimeline::new(vec![outage(0, 2, 4), outage(1, 2, 4), outage(2, 2, 4)]);
+        let err = overlapping.validate(3).unwrap_err().to_string();
+        assert!(err.contains("slot 2 "), "{err}");
+        // The last DC to go down names the slot, not the first.
+        let late = EventTimeline::new(vec![outage(0, 1, 6), outage(1, 3, 6), outage(2, 4, 9)]);
+        let err = late.validate(3).unwrap_err().to_string();
+        assert!(err.contains("slot 4 "), "{err}");
+        // One DC is up at every slot: back to back, or two at a time.
+        let staggered = EventTimeline::new(vec![outage(0, 2, 4), outage(1, 4, 6), outage(2, 6, 8)]);
+        assert!(staggered.validate(3).is_ok());
+        let pairs = EventTimeline::new(vec![outage(0, 2, 5), outage(1, 3, 7), outage(2, 5, 8)]);
+        assert!(pairs.validate(3).is_ok());
+    }
+
+    #[test]
     fn outage_and_partition_resolve_into_their_own_modulators() {
         let timeline = EventTimeline::new(vec![
             outage(1, 4, 8),
@@ -556,15 +663,19 @@ mod tests {
                 kind: EventKind::NetworkPartition { factor: 0.25 },
             },
         ]);
-        assert!(timeline.outage_modulator(0).is_identity());
-        assert_eq!(timeline.outage_modulator(1).factor_at(TimeSlot(5)), 0.0);
-        assert_eq!(timeline.outage_modulator(1).factor_at(TimeSlot(8)), 1.0);
-        for dc in 0..3usize {
-            assert_eq!(timeline.link_modulator(dc).factor_at(TimeSlot(3)), 0.25);
-            assert_eq!(timeline.link_modulator(dc).factor_at(TimeSlot(6)), 1.0);
+        for slot in 0..10u32 {
+            assert!(!timeline.resolve(0, TimeSlot(slot)).outaged);
         }
-        // Neither failure kind bleeds into the capacity schedule.
-        assert!(timeline.capacity_modulator(1).is_identity());
+        assert!(timeline.resolve(1, TimeSlot(5)).outaged);
+        assert!(!timeline.resolve(1, TimeSlot(8)).outaged);
+        for dc in 0..3usize {
+            assert_eq!(timeline.resolve(dc, TimeSlot(3)).link, 0.25);
+            assert_eq!(timeline.resolve(dc, TimeSlot(6)).link, 1.0);
+        }
+        // Neither failure kind bleeds into the capacity factor.
+        for slot in 0..10u32 {
+            assert_eq!(timeline.resolve(1, TimeSlot(slot)).capacity, 1.0);
+        }
     }
 
     #[test]
@@ -578,15 +689,18 @@ mod tests {
                 lag_slots: 3,
             },
         }]);
+        let capacity = |dc, slot| timeline.resolve(dc, TimeSlot(slot)).capacity;
         // DC 0 is below the origin: untouched.
-        assert!(timeline.capacity_modulator(0).is_identity());
+        for slot in 0..10u32 {
+            assert_eq!(capacity(0, slot), 1.0);
+        }
         // Origin derates over [2, 4).
-        assert_eq!(timeline.capacity_modulator(1).factor_at(TimeSlot(2)), 0.5);
-        assert_eq!(timeline.capacity_modulator(1).factor_at(TimeSlot(4)), 1.0);
+        assert_eq!(capacity(1, 2), 0.5);
+        assert_eq!(capacity(1, 4), 1.0);
         // DC 2 joins 3 slots later, over [5, 7).
-        assert_eq!(timeline.capacity_modulator(2).factor_at(TimeSlot(2)), 1.0);
-        assert_eq!(timeline.capacity_modulator(2).factor_at(TimeSlot(5)), 0.5);
-        assert_eq!(timeline.capacity_modulator(2).factor_at(TimeSlot(7)), 1.0);
+        assert_eq!(capacity(2, 2), 1.0);
+        assert_eq!(capacity(2, 5), 0.5);
+        assert_eq!(capacity(2, 7), 1.0);
         // A window shifted past u32::MAX collapses to empty, not a panic.
         let horizon = EventTimeline::new(vec![EngineEvent {
             dc: Some(0),
@@ -597,7 +711,9 @@ mod tests {
                 lag_slots: u32::MAX,
             },
         }]);
-        assert!(horizon.capacity_modulator(5).is_identity());
+        for slot in [0, u32::MAX - 1, u32::MAX] {
+            assert_eq!(horizon.resolve(5, TimeSlot(slot)), UNPERTURBED);
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Combines the workload, energy and network substrates into the paper's
 //! evaluation platform:
 //!
-//! * [`power`] — Xeon E5410 DVFS power model (ref [19]);
-//! * [`pue`] — free-cooling time-varying PUE (ref [20]);
+//! * [`power`] — Xeon E5410 DVFS power model (ref \[19\]);
+//! * [`pue`] — free-cooling time-varying PUE (ref \[20\]);
 //! * [`config`] / [`dc`] — Table I scenario description and per-DC runtime;
 //! * [`decision`] / [`snapshot`] / [`policy`] — the contract between the
 //!   engine and placement policies;

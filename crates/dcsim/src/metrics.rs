@@ -6,7 +6,6 @@
 //! trade-off plots project (Figs. 4–6).
 
 use geoplace_types::hash::Fnv64;
-use geoplace_types::time::TimeSlot;
 use serde::{Deserialize, Serialize};
 
 /// Metrics of one hourly slot, aggregated over all DCs.
@@ -130,11 +129,6 @@ impl SimulationReport {
     /// Record one finished slot.
     pub fn push_hour(&mut self, record: HourlyRecord) {
         self.hourly.push(record);
-    }
-
-    /// The slot of the last record, if any (diagnostic).
-    pub fn last_slot(&self) -> Option<TimeSlot> {
-        self.hourly.last().map(|h| TimeSlot(h.slot))
     }
 
     /// Renders the hourly records as CSV (header + one row per slot) —

@@ -2,7 +2,7 @@
 //!
 //! The paper targets "an Intel Xeon E5410 server consisting of 8 cores and
 //! two frequency levels (2.0 GHz and 2.3 GHz)" and uses the power model of
-//! Pedram et al. (ref [19]) — an affine function of utilization per
+//! Pedram et al. (ref \[19\]) — an affine function of utilization per
 //! frequency level. An idle (VM-less) server is powered off and draws
 //! nothing; consolidation saves the idle power, which is why packing onto
 //! few servers matters.
@@ -80,7 +80,7 @@ impl ServerPowerModel {
 
     /// The paper's target: Xeon E5410, 8 cores, 2.0 GHz and 2.3 GHz.
     ///
-    /// Wattages follow the affine model family of ref [19] for this
+    /// Wattages follow the affine model family of ref \[19\] for this
     /// platform: 2.3 GHz idles at 166 W and peaks at 246 W; 2.0 GHz idles
     /// at 141 W and peaks at 209 W.
     pub fn xeon_e5410() -> Self {
@@ -151,7 +151,7 @@ impl ServerPowerModel {
             .find(|&l| load_cores * headroom <= self.capacity_cores(l))
     }
 
-    /// Energy-optimal frequency selection as in ref [5]: run at the lowest
+    /// Energy-optimal frequency selection as in ref \[5\]: run at the lowest
     /// frequency that still covers the *peak* demand, because a lower
     /// operating point strictly dominates on power.
     pub fn dvfs_select(&self, peak_load_cores: f64) -> FreqLevel {

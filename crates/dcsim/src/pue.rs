@@ -1,6 +1,6 @@
 //! Time-varying PUE (Power Usage Effectiveness) with free cooling.
 //!
-//! The paper uses "a time-varying PUE model, as in [20]" (Kim et al.,
+//! The paper uses "a time-varying PUE model, as in \[20\]" (Kim et al.,
 //! *Free cooling-aware dynamic power management for green datacenters*,
 //! HPCS 2012): when the outside air is cold the DC cools for almost free
 //! (PUE ≈ 1.1); as temperature rises, mechanical chillers ramp the PUE up.
@@ -43,7 +43,7 @@ impl SiteClimate {
     }
 }
 
-/// The free-cooling PUE curve of ref [20]:
+/// The free-cooling PUE curve of ref \[20\]:
 /// `PUE(T) = BASE + RAMP · σ((T − THRESHOLD_C) / WIDTH_C)`, shared by
 /// every DC.
 ///

@@ -39,39 +39,31 @@ impl SlotStepper {
         let slot = TimeSlot(slot_index);
         let n_dcs = self.scenario.dcs.len();
 
-        // Per-slot world perturbations: usable servers after derates,
-        // outage and link-degradation flags, tariff and PV multipliers.
-        // All deterministic in (config, slot).
-        self.scratch.outaged.clear();
+        // Per-slot world perturbations: the event timeline's factors per
+        // DC and the usable servers after derates. All deterministic in
+        // (config, slot).
+        let timeline = &self.scenario.config.timeline;
+        self.scratch.factors.clear();
         self.scratch
-            .outaged
-            .extend((0..n_dcs).map(|d| self.outage_mods[d].factor_at(slot) < 0.5));
-        self.scratch.link_factors.clear();
-        self.scratch
-            .link_factors
-            .extend((0..n_dcs).map(|d| self.link_mods[d].factor_at(slot)));
+            .factors
+            .extend((0..n_dcs).map(|d| timeline.resolve(d, slot)));
         self.scratch.usable_servers.clear();
-        self.scratch
-            .usable_servers
-            .extend(self.server_counts.iter().enumerate().map(|(d, &s)| {
-                if self.scratch.outaged[d] {
-                    // A downed DC collapses to the one-server rollback
-                    // floor: decisions that still target it stay
-                    // structurally valid, but the engine evacuates its
-                    // fleet and policies see the scarcity.
-                    1
-                } else {
-                    events::effective_servers(s, self.capacity_mods[d].factor_at(slot))
-                }
-            }));
-        self.scratch.price_factors.clear();
-        self.scratch
-            .price_factors
-            .extend((0..n_dcs).map(|d| self.price_mods[d].factor_at(slot)));
-        self.scratch.pv_factors.clear();
-        self.scratch
-            .pv_factors
-            .extend((0..n_dcs).map(|d| self.pv_mods[d].factor_at(slot)));
+        self.scratch.usable_servers.extend(
+            self.server_counts
+                .iter()
+                .zip(&self.scratch.factors)
+                .map(|(&servers, factors)| {
+                    if factors.outaged {
+                        // A downed DC collapses to the one-server rollback
+                        // floor: decisions that still target it stay
+                        // structurally valid, but the engine evacuates its
+                        // fleet and policies see the scarcity.
+                        1
+                    } else {
+                        events::effective_servers(servers, factors.capacity)
+                    }
+                }),
+        );
 
         // --- Observation phase: the previous interval's data. Slot 0
         // bootstraps from an all-zero observation window — no interval
@@ -161,19 +153,17 @@ impl SlotStepper {
 
     /// Per-DC info block for the snapshot.
     ///
-    /// The scratch's `usable_servers` and `price_factors` carry the
-    /// slot's event-timeline effects: policies observe the derated
-    /// capacity and the spiked tariff — and are expected to react to
-    /// both.
+    /// The scratch's `usable_servers` and `factors` carry the slot's
+    /// event-timeline effects: policies observe the derated capacity and
+    /// the spiked tariff — and are expected to react to both.
     fn compute_dc_infos(&self, slot: TimeSlot) -> Vec<DcInfo> {
-        let price_factors = &self.scratch.price_factors;
         let usable_servers = &self.scratch.usable_servers;
         let effective: Vec<(EurosPerKwh, geoplace_energy::price::PriceLevel)> = self
             .scenario
             .dcs
             .iter()
-            .zip(price_factors)
-            .map(|(d, &factor)| super::effective_tariff(&d.price, slot, factor))
+            .zip(&self.scratch.factors)
+            .map(|(d, factors)| super::effective_tariff(&d.price, slot, factors.price))
             .collect();
         let prices: Vec<EurosPerKwh> = effective.iter().map(|&(p, _)| p).collect();
         // Day-averaged tariffs, normalized over the fleet. Deliberately
@@ -232,7 +222,7 @@ impl SlotStepper {
                     last_it_energy: d.last_it_energy,
                     last_total_energy: d.last_total_energy,
                     pue: d.pue_at(slot),
-                    outaged: self.scratch.outaged[index],
+                    outaged: self.scratch.factors[index].outaged,
                 }
             })
             .collect()

@@ -41,6 +41,7 @@ impl SlotStepper {
         let slot = TimeSlot(slot_index);
         let n_dcs = self.scenario.dcs.len();
         let mut new_dc = decision.dc_of();
+        let factors = &self.scratch.factors;
 
         // --- Forced evacuation: a decision may still target a downed DC
         // (policies are free to ignore the `outaged` flag), but nothing
@@ -49,24 +50,24 @@ impl SlotStepper {
         // clipping, so the resulting moves flow through the migration
         // model and its ledger below. Deterministic: sorted VM order, no
         // RNG. With no active outage this whole block is a no-op.
-        if self.scratch.outaged.iter().any(|&o| o) {
+        if factors.iter().any(|f| f.outaged) {
             let fallback = self
                 .scratch
                 .usable_servers
                 .iter()
                 .enumerate()
-                .filter(|&(d, _)| !self.scratch.outaged[d])
+                .filter(|&(d, _)| !factors[d].outaged)
                 .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(&a.0)))
                 .map(|(d, _)| DcId(d as u16));
             // No surviving DC means nowhere to evacuate to; validation
-            // rejects fleet-wide outages, but an unvalidated timeline
-            // must degrade gracefully rather than panic.
+            // rejects a timeline that downs every DC at once, but an
+            // unvalidated one must degrade gracefully rather than panic.
             if let Some(fallback) = fallback {
                 let top_freq = crate::power::FreqLevel(self.dvfs_levels[fallback.index()] - 1);
                 let servers = self.scratch.usable_servers[fallback.index()];
                 for &vm in &self.scratch.active {
                     let dest = new_dc[&vm];
-                    if !self.scratch.outaged[dest.index()] {
+                    if !factors[dest.index()].outaged {
                         continue;
                     }
                     decision.remove_vm(vm);
@@ -111,10 +112,9 @@ impl SlotStepper {
             let latency = plan
                 .latency_with(&self.scenario.latency, migration, &mut self.rng)
                 .0;
-            let link = self.scratch.link_factors[prev.index()]
-                .min(self.scratch.link_factors[dest.index()]);
+            let link = factors[prev.index()].link.min(factors[dest.index()].link);
             let effective_latency = if link < 1.0 { latency / link } else { latency };
-            let evacuating = self.scratch.outaged[prev.index()];
+            let evacuating = factors[prev.index()].outaged;
             if effective_latency <= self.budget.0 {
                 plan.force_add(migration);
                 record.migrations += 1;
@@ -185,8 +185,6 @@ impl SlotStepper {
             let actual = &self.scratch.actual;
             let observed = &self.scratch.observed;
             let cores = &self.scratch.vm_cores;
-            let price_factors = &self.scratch.price_factors;
-            let pv_factors = &self.scratch.pv_factors;
             self.exec.map_mut(&mut self.scenario.dcs, |dc_index, dc| {
                 let dc_id = DcId(dc_index as u16);
                 let it_power = dc_it_power(
@@ -198,8 +196,8 @@ impl SlotStepper {
                     observed,
                 );
                 let pue = dc.pue_at(slot);
-                let (price, level) = effective_tariff(&dc.price, slot, price_factors[dc_index]);
-                let pv_factor = pv_factors[dc_index];
+                let (price, level) = effective_tariff(&dc.price, slot, factors[dc_index].price);
+                let pv_factor = factors[dc_index].pv;
                 let mut output = DcSlotOutput::default();
                 let mut pv_harvest = 0.0f64;
                 // Forecast-aware arbitrage: reserve battery headroom
@@ -257,7 +255,7 @@ impl SlotStepper {
         let dc_traffic = self.inter_dc_traffic(&new_dc, n_dcs);
         let mut response = evaluate_slot(&self.scenario.latency, &dc_traffic, &mut self.rng);
         for (dc, t) in response.per_dc.iter_mut() {
-            let link = self.scratch.link_factors[dc.index()];
+            let link = factors[dc.index()].link;
             if link < 1.0 {
                 t.0 /= link;
             }

@@ -21,18 +21,18 @@
 //!   traffic CSR and both correlation structures, and resolves the event
 //!   timeline's per-slot factors;
 //! * [`SlotStepper::observe`] assembles the borrowed, side-effect-free
-//!   [`SystemSnapshot`] the policy decides over — calling it twice is
-//!   free and idempotent;
+//!   [`SystemSnapshot`](crate::snapshot::SystemSnapshot) the policy
+//!   decides over — calling it twice is free and idempotent;
 //! * [`SlotStepper::apply`] validates the decision, clips migrations
 //!   against the QoS latency budget, runs the tick-resolution interval
 //!   simulation (IT power, PUE, green controller, tariffs) and folds the
 //!   slot into the report, returning the slot's [`SlotMetrics`].
 //!
 //! The stepper owns every piece of state `run` used to capture locally —
-//! the RNG, the green controller, the lowered event timeline, the
-//! persistent [`EngineScratch`] and the migration/energy ledgers — so a
-//! driver can stop between any two phases and resume later, which is what
-//! the `geoplace-serve` session does between JSON commands. Ordering and
+//! the RNG, the green controller, the persistent `EngineScratch` buffers
+//! and the migration/energy ledgers — so a driver can stop between any
+//! two phases and resume later, which is what the `geoplace-serve`
+//! session does between JSON commands. Ordering and
 //! RNG consumption are bit-identical to the old monolithic loop: the
 //! rebuilt `run` reproduces every golden digest.
 
@@ -45,10 +45,10 @@ pub(crate) use apply::effective_tariff;
 
 use crate::config::ScenarioConfig;
 use crate::engine::Scenario;
+use crate::events::SlotFactors;
 use crate::metrics::{HourlyRecord, SimulationReport};
 use crate::snapshot::DcInfo;
 use geoplace_energy::green::GreenController;
-use geoplace_energy::modulate::SlotModulator;
 use geoplace_network::migration::latency_constraint_for_qos;
 use geoplace_types::time::{TimeSlot, TICKS_PER_SLOT};
 use geoplace_types::units::{Gigabytes, Seconds};
@@ -91,7 +91,7 @@ enum Phase {
 ///
 /// Owns every vector and matrix the slot step would otherwise reallocate
 /// per slot: the active id list, the core/memory alignment vectors, the
-/// event-factor vectors, both utilization window matrices (observed and
+/// per-DC event factors, both utilization window matrices (observed and
 /// actual), the dense arena and the incremental traffic CSR cache. In the
 /// steady state of the incremental pipeline nothing here allocates
 /// proportionally to the fleet — buffers are refilled (or reconciled) in
@@ -104,17 +104,11 @@ pub(crate) struct EngineScratch {
     pub(crate) vm_cores: Vec<u32>,
     /// Memory per VM, aligned with the observed window rows.
     pub(crate) vm_memory: Vec<Gigabytes>,
+    /// The event timeline's factors per DC for the advanced slot.
+    pub(crate) factors: Vec<SlotFactors>,
     /// Usable servers per DC after capacity derates (and the one-server
     /// collapse of an outaged DC).
     pub(crate) usable_servers: Vec<u32>,
-    /// Tariff multipliers per DC from the event timeline.
-    pub(crate) price_factors: Vec<f64>,
-    /// PV multipliers per DC from the event timeline.
-    pub(crate) pv_factors: Vec<f64>,
-    /// Whether each DC is down this slot (an active `DcOutage` window).
-    pub(crate) outaged: Vec<bool>,
-    /// Residual link bandwidth fraction per DC under network partitions.
-    pub(crate) link_factors: Vec<f64>,
     /// The observation window the policy sees (previous interval; zeros
     /// at slot 0).
     pub(crate) observed: UtilizationWindows,
@@ -133,11 +127,8 @@ impl EngineScratch {
             active: Vec::new(),
             vm_cores: Vec::new(),
             vm_memory: Vec::new(),
+            factors: Vec::new(),
             usable_servers: Vec::new(),
-            price_factors: Vec::new(),
-            pv_factors: Vec::new(),
-            outaged: Vec::new(),
-            link_factors: Vec::new(),
             observed: UtilizationWindows::zeros(&[], TICKS_PER_SLOT),
             actual: UtilizationWindows::zeros(&[], TICKS_PER_SLOT),
             arena: VmArena::default(),
@@ -186,13 +177,6 @@ pub struct SlotStepper {
     pub(crate) dvfs_levels: Vec<usize>,
     /// The QoS migration latency budget.
     pub(crate) budget: Seconds,
-    /// The event timeline lowered once into per-DC slot-indexed
-    /// modulators; within a slot every tick shares the slot's factors.
-    pub(crate) capacity_mods: Vec<SlotModulator>,
-    pub(crate) price_mods: Vec<SlotModulator>,
-    pub(crate) pv_mods: Vec<SlotModulator>,
-    pub(crate) outage_mods: Vec<SlotModulator>,
-    pub(crate) link_mods: Vec<SlotModulator>,
     /// The standing assignment (previous slot's placement).
     pub(crate) assignment: BTreeMap<VmId, DcId>,
     pub(crate) scratch: EngineScratch,
@@ -225,16 +209,6 @@ impl SlotStepper {
             .map(|d| d.power_model.levels().len())
             .collect();
         let budget = latency_constraint_for_qos(scenario.config.qos);
-        let timeline = scenario.config.timeline.clone();
-        let capacity_mods: Vec<SlotModulator> =
-            (0..n_dcs).map(|d| timeline.capacity_modulator(d)).collect();
-        let price_mods: Vec<SlotModulator> =
-            (0..n_dcs).map(|d| timeline.price_modulator(d)).collect();
-        let pv_mods: Vec<SlotModulator> = (0..n_dcs).map(|d| timeline.pv_modulator(d)).collect();
-        let outage_mods: Vec<SlotModulator> =
-            (0..n_dcs).map(|d| timeline.outage_modulator(d)).collect();
-        let link_mods: Vec<SlotModulator> =
-            (0..n_dcs).map(|d| timeline.link_modulator(d)).collect();
         SlotStepper {
             scenario,
             rng,
@@ -243,11 +217,6 @@ impl SlotStepper {
             server_counts,
             dvfs_levels,
             budget,
-            capacity_mods,
-            price_mods,
-            pv_mods,
-            outage_mods,
-            link_mods,
             assignment: BTreeMap::new(),
             scratch: EngineScratch::new(),
             cpu_corr: None,
@@ -304,13 +273,6 @@ impl SlotStepper {
     /// field borrows). Empty before the first advance.
     pub fn dc_infos(&self) -> &[DcInfo] {
         &self.dc_infos
-    }
-
-    /// The accumulating report. Its `policy` name is still empty — use
-    /// [`SlotStepper::report_with_policy`] or
-    /// [`SlotStepper::into_report`] for a digest-carrying report.
-    pub fn report_so_far(&self) -> &SimulationReport {
-        &self.report
     }
 
     /// A clone of the report so far with the policy name stamped in —

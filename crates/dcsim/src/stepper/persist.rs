@@ -15,11 +15,12 @@
 //! | `dcs`        | per-DC battery charge, energy ledgers, forecaster    |
 //! | `report`     | the accumulated hourly/response/per-DC series        |
 //!
-//! Everything else — executors, modulators, samplers, power models, the
-//! [`EngineScratch`](super::EngineScratch) buffers, the CPU-correlation
-//! and traffic caches — is rebuilt: the scratch's previous-slot `actual`
-//! windows are re-materialized from the restored traces and the traffic
-//! CSR is rebuilt from the restored pair set, which the next
+//! Everything else — executors, samplers, power models, the
+//! `EngineScratch` buffers, the CPU-correlation and traffic caches — is
+//! rebuilt: the next `advance_world` resolves the slot's event factors
+//! from the configuration's timeline, the scratch's previous-slot
+//! `actual` windows are re-materialized from the restored traces, and
+//! the traffic CSR is rebuilt from the restored pair set, which the next
 //! `advance_world` then maintains incrementally exactly as the
 //! uninterrupted run would have.
 

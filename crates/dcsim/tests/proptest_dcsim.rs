@@ -111,7 +111,8 @@ proptest! {
     /// of insertion order: any permutation of the same event set builds
     /// the same canonical timeline, resolves to bit-identical per-slot
     /// factors for every DC and kind, and re-normalizing a canonical
-    /// timeline is a no-op.
+    /// timeline is a no-op. Validation refuses exactly the timelines
+    /// that down every DC at some slot.
     #[test]
     fn event_timeline_is_order_independent_and_idempotent(
         seed in 0u64..500,
@@ -162,7 +163,31 @@ proptest! {
             end_slot: first.end_slot,
             kind: EventKind::DcOutage,
         });
-        prop_assert!(EventTimeline::new(events.clone()).validate(3).is_ok());
+        // Half the cases also down DCs 1 and 2, over windows that may or
+        // may not overlap, so both sides of the refusal below are hit.
+        if rng.gen_range(0u8..2) == 0 {
+            for dc in 1..3u16 {
+                let start = rng.gen_range(0u32..24);
+                events.push(EngineEvent {
+                    dc: Some(dc),
+                    start_slot: start,
+                    end_slot: start + rng.gen_range(1u32..12),
+                    kind: EventKind::DcOutage,
+                });
+            }
+        }
+        let outaged = |dc: u16, slot: u32| {
+            events.iter().any(|e| {
+                e.kind == EventKind::DcOutage
+                    && e.dc == Some(dc)
+                    && (e.start_slot..e.end_slot).contains(&slot)
+            })
+        };
+        let all_down = (0..40u32).any(|slot| (0..3u16).all(|dc| outaged(dc, slot)));
+        prop_assert_eq!(
+            EventTimeline::new(events.clone()).validate(3).is_err(),
+            all_down
+        );
 
         // Three insertion orders: as generated, reversed, and rotated.
         let forward = EventTimeline::new(events.clone());
@@ -186,15 +211,12 @@ proptest! {
         for dc in 0..3usize {
             for slot in 0..40u32 {
                 let slot = TimeSlot(slot);
-                for (a, b) in [
-                    (forward.capacity_modulator(dc), reversed.capacity_modulator(dc)),
-                    (forward.price_modulator(dc), reversed.price_modulator(dc)),
-                    (forward.pv_modulator(dc), reversed.pv_modulator(dc)),
-                    (forward.outage_modulator(dc), reversed.outage_modulator(dc)),
-                    (forward.link_modulator(dc), reversed.link_modulator(dc)),
-                ] {
-                    prop_assert_eq!(a.factor_at(slot).to_bits(), b.factor_at(slot).to_bits());
-                }
+                let (a, b) = (forward.resolve(dc, slot), reversed.resolve(dc, slot));
+                prop_assert_eq!(a.capacity.to_bits(), b.capacity.to_bits());
+                prop_assert_eq!(a.price.to_bits(), b.price.to_bits());
+                prop_assert_eq!(a.pv.to_bits(), b.pv.to_bits());
+                prop_assert_eq!(a.link.to_bits(), b.link.to_bits());
+                prop_assert_eq!(a.outaged, b.outaged);
             }
         }
         let starts: Vec<(u32, u32)> = forward

@@ -1,7 +1,7 @@
 //! Renewable-energy forecasting — WCMA (Weather-Conditioned Moving
 //! Average).
 //!
-//! The paper "implemented the algorithm in [21]" (Bergonzini, Brunelli,
+//! The paper "implemented the algorithm in \[21\]" (Bergonzini, Brunelli,
 //! Benini: *Comparison of energy intake prediction algorithms for systems
 //! powered by photovoltaic harvesters*). The best-performing algorithm in
 //! that comparison is WCMA: the prediction for the next slot is the mean of

@@ -3,14 +3,15 @@
 //! Everything the paper's DCs need besides servers:
 //!
 //! * [`pv`] — photovoltaic arrays with a clear-sky + stochastic-cloud model;
-//! * [`forecast`] — the WCMA renewable forecaster (ref [21] of the paper);
+//! * [`forecast`] — the WCMA renewable forecaster (ref \[21\] of the paper);
 //! * [`battery`] — lithium-ion banks with a 50 % depth-of-discharge floor;
 //! * [`price`] — two-level tariffs with per-site time zones;
 //! * [`green`] — the rule-based 5 s green controller that compensates
-//!   forecast error by steering PV, battery and grid power;
-//! * [`modulate`] — slot-indexed multiplicative perturbations (tariff
-//!   spikes, PV droughts) the scenario library's event timelines lower
-//!   into.
+//!   forecast error by steering PV, battery and grid power.
+//!
+//! Transient perturbations of these series (tariff spikes, PV
+//! droughts) are not modelled here: the engine's event timeline
+//! resolves them into per-slot factors that scale the base series.
 //!
 //! # Examples
 //!
@@ -39,7 +40,6 @@
 pub mod battery;
 pub mod forecast;
 pub mod green;
-pub mod modulate;
 mod noise;
 pub mod price;
 pub mod pv;
@@ -47,7 +47,6 @@ pub mod pv;
 pub use battery::Battery;
 pub use forecast::WcmaForecaster;
 pub use green::{GreenController, GreenOutcome};
-pub use modulate::{ModSegment, SlotModulator};
 pub use price::{PriceLevel, PriceSchedule};
 pub use pv::{PvArray, Site};
 
@@ -56,7 +55,6 @@ pub mod prelude {
     pub use crate::battery::Battery;
     pub use crate::forecast::WcmaForecaster;
     pub use crate::green::{GreenController, GreenOutcome};
-    pub use crate::modulate::{ModSegment, SlotModulator};
     pub use crate::price::{PriceLevel, PriceSchedule};
     pub use crate::pv::{PvArray, Site};
 }

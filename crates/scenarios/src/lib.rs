@@ -6,11 +6,15 @@
 //! * [`world::WorldSpec`] — a declarative delta over a base
 //!   [`ScenarioConfig`](geoplace_dcsim::config::ScenarioConfig):
 //!   arrival/lifetime rescaling, heterogeneous fleet mixes, weekly rate
-//!   seasonality and a list of [`world::WorldEvent`]s;
+//!   seasonality, fleet-shaped [`world::WorldEvent`]s (flash crowds,
+//!   cohorts) sized against the base population, and engine
+//!   [`EngineEvent`](geoplace_dcsim::events::EngineEvent)s that land on
+//!   the configuration's event timeline unchanged;
 //! * [`presets`] — the named registry (`paper`, `flash_crowd`,
-//!   `weekly_seasonal`, `hetero_fleet`, `churn_storm`, `green_drought`)
-//!   every repro binary exposes via `--scenario NAME`, and the row set
-//!   of the `scenario_matrix` golden-regression gate.
+//!   `weekly_seasonal`, `hetero_fleet`, `churn_storm`, `green_drought`,
+//!   `dc_outage`, `trace_replay`) every repro binary exposes via
+//!   `--scenario NAME`, and the row set of the `scenario_matrix`
+//!   golden-regression gate.
 //!
 //! Lowering is pure and scale-free, so one preset definition covers the
 //! bench, repro, paper and stress fleets alike.

@@ -9,6 +9,7 @@
 //! proportion.
 
 use crate::world::{WorldEvent, WorldSpec};
+use geoplace_dcsim::events::{EngineEvent, EventKind};
 use geoplace_workload::mix::{FleetMix, VmClass};
 use geoplace_workload::trace::TraceKind;
 
@@ -38,12 +39,6 @@ pub fn flash_crowd() -> WorldSpec {
             mean_lifetime_slots: 2.5,
             peak_fraction: 0.35,
         },
-        WorldEvent::CapacityDerate {
-            dc: Some(0),
-            start_slot: 3,
-            end_slot: 9,
-            factor: 0.6,
-        },
         WorldEvent::FlashCrowd {
             start_slot: 10,
             duration_slots: 2,
@@ -52,6 +47,12 @@ pub fn flash_crowd() -> WorldSpec {
             peak_fraction: 0.15,
         },
     ];
+    spec.timeline = vec![EngineEvent {
+        dc: Some(0),
+        start_slot: 3,
+        end_slot: 9,
+        kind: EventKind::CapacityDerate { factor: 0.6 },
+    }];
     spec
 }
 
@@ -141,18 +142,18 @@ pub fn green_drought() -> WorldSpec {
         "fleet-wide PV drought + a tariff spike on the cheapest site",
         "Ener/Pri-aware lose their edge; cost gaps compress toward load",
     );
-    spec.events = vec![
-        WorldEvent::PvDerate {
+    spec.timeline = vec![
+        EngineEvent {
             dc: None,
             start_slot: 0,
             end_slot: u32::MAX,
-            factor: 0.2,
+            kind: EventKind::PvDerate { factor: 0.2 },
         },
-        WorldEvent::PriceSpike {
+        EngineEvent {
             dc: Some(1),
             start_slot: 2,
             end_slot: 20,
-            factor: 3.0,
+            kind: EventKind::PriceSpike { factor: 3.0 },
         },
     ];
     spec
@@ -168,24 +169,27 @@ pub fn dc_outage() -> WorldSpec {
         "full-DC outage + link partition + cascading derate front",
         "evacuation overruns dominate; latency-aware movers lose least",
     );
-    spec.events = vec![
-        WorldEvent::DcOutage {
-            dc: 0,
+    spec.timeline = vec![
+        EngineEvent {
+            dc: Some(0),
             start_slot: 4,
             end_slot: 7,
+            kind: EventKind::DcOutage,
         },
-        WorldEvent::NetworkPartition {
+        EngineEvent {
             dc: Some(1),
             start_slot: 5,
             end_slot: 9,
-            factor: 0.3,
+            kind: EventKind::NetworkPartition { factor: 0.3 },
         },
-        WorldEvent::CascadeDerate {
-            dc: 0,
+        EngineEvent {
+            dc: Some(0),
             start_slot: 8,
             end_slot: 10,
-            factor: 0.6,
-            lag_slots: 1,
+            kind: EventKind::CascadeDerate {
+                factor: 0.6,
+                lag_slots: 1,
+            },
         },
     ];
     spec
@@ -325,7 +329,7 @@ mod tests {
             .timeline
             .events()
             .iter()
-            .any(|e| e.kind == geoplace_dcsim::events::EventKind::DcOutage)));
+            .any(|e| e.kind == EventKind::DcOutage)));
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //!
 //! A [`WorldSpec`] is a *delta* over a base scenario: it rescales the
 //! arrival process, swaps in a heterogeneous fleet mix, shapes the week
-//! with per-day rate factors, and schedules [`WorldEvent`]s — the
-//! engine-facing ones (capacity derates, price spikes, PV droughts)
-//! lower into the [`EventTimeline`](geoplace_dcsim::events::EventTimeline),
-//! the workload-facing ones (flash crowds, correlated-batch cohorts)
-//! lower into the arrival process's burst/cohort knobs.
+//! with per-day rate factors, and schedules perturbations. Engine
+//! perturbations (derates, tariff spikes, PV droughts, outages,
+//! partitions, cascades) are [`EngineEvent`]s that land on the
+//! configuration's [`EventTimeline`](geoplace_dcsim::events::EventTimeline)
+//! unchanged; fleet perturbations (flash crowds, correlated-batch
+//! cohorts) are [`WorldEvent`]s that lower into the arrival process's
+//! burst/cohort knobs.
 //!
 //! Specs are **scale-free**: crowd sizes and cohort sizes are fractions
 //! of the base world's expected population, so the same named preset
@@ -15,11 +17,12 @@
 //! its inputs, with no RNG and no ambient state.
 
 use geoplace_dcsim::config::ScenarioConfig;
-use geoplace_dcsim::events::{EngineEvent, EventKind};
+use geoplace_dcsim::events::EngineEvent;
 use geoplace_workload::arrivals::{BurstConfig, CohortConfig, ScriptedArrival};
 use geoplace_workload::mix::FleetMix;
 
-/// One scheduled perturbation of a world.
+/// One scheduled perturbation of the fleet, sized against the base
+/// world's population.
 ///
 /// Slot indices are absolute; presets keep their windows inside the
 /// first day so every scale (including shortened CI horizons) sees
@@ -27,40 +30,6 @@ use geoplace_workload::mix::FleetMix;
 /// expected VM population.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WorldEvent {
-    /// Maintenance window: DC `dc` (or all) keeps `factor` of its
-    /// servers over `[start_slot, end_slot)`.
-    CapacityDerate {
-        /// Target DC (`None` = every DC).
-        dc: Option<u16>,
-        /// First affected slot.
-        start_slot: u32,
-        /// One past the last affected slot.
-        end_slot: u32,
-        /// Usable server fraction, in (0, 1].
-        factor: f64,
-    },
-    /// Tariff multiplier over a window.
-    PriceSpike {
-        /// Target DC (`None` = every DC).
-        dc: Option<u16>,
-        /// First affected slot.
-        start_slot: u32,
-        /// One past the last affected slot.
-        end_slot: u32,
-        /// Tariff multiplier (> 1 spikes).
-        factor: f64,
-    },
-    /// PV output multiplier over a window (droughts: factor < 1).
-    PvDerate {
-        /// Target DC (`None` = every DC).
-        dc: Option<u16>,
-        /// First affected slot.
-        start_slot: u32,
-        /// One past the last affected slot.
-        end_slot: u32,
-        /// Remaining PV fraction, in [0, 1].
-        factor: f64,
-    },
     /// Flash crowd: short-lived web groups pour in over a window,
     /// admission-capped at a fraction of the base population.
     FlashCrowd {
@@ -85,43 +54,6 @@ pub enum WorldEvent {
         /// Fixed lifetime of every member, slots.
         lifetime_slots: u32,
     },
-    /// Whole-DC outage: the engine marks `dc` unusable over the window
-    /// and forcibly evacuates its VMs through the migration model.
-    DcOutage {
-        /// The DC that goes dark (outages always name a concrete DC).
-        dc: u16,
-        /// First affected slot.
-        start_slot: u32,
-        /// One past the last affected slot.
-        end_slot: u32,
-    },
-    /// Network partition: links touching `dc` (or every link) keep only
-    /// `factor` of their bandwidth over the window, inflating migration
-    /// latencies and degraded-path response times.
-    NetworkPartition {
-        /// Target DC (`None` = every link).
-        dc: Option<u16>,
-        /// First affected slot.
-        start_slot: u32,
-        /// One past the last affected slot.
-        end_slot: u32,
-        /// Remaining link-bandwidth fraction, in (0, 1].
-        factor: f64,
-    },
-    /// Cascading derate: a capacity derate that starts at an origin DC
-    /// and propagates to each higher-indexed DC `lag_slots` later.
-    CascadeDerate {
-        /// Origin DC of the failure front.
-        dc: u16,
-        /// First affected slot at the origin.
-        start_slot: u32,
-        /// One past the last affected slot at the origin.
-        end_slot: u32,
-        /// Usable server fraction at each reached DC, in (0, 1].
-        factor: f64,
-        /// Slots the front takes to reach each next DC (>= 1).
-        lag_slots: u32,
-    },
 }
 
 /// A named, composable world specification.
@@ -142,8 +74,11 @@ pub struct WorldSpec {
     pub mix: FleetMix,
     /// Per-day arrival-rate factors (empty = a flat week).
     pub day_rate_factors: Vec<f64>,
-    /// Scheduled perturbations.
+    /// Scheduled fleet perturbations.
     pub events: Vec<WorldEvent>,
+    /// Scheduled engine perturbations, pushed onto the configuration's
+    /// event timeline unchanged.
+    pub timeline: Vec<EngineEvent>,
     /// Trace-scripted arrivals appended to the synthetic stream (empty
     /// = purely synthetic; filled by trace-replay worlds).
     pub scripted: Vec<ScriptedArrival>,
@@ -165,6 +100,7 @@ impl WorldSpec {
             mix: FleetMix::default(),
             day_rate_factors: Vec::new(),
             events: Vec::new(),
+            timeline: Vec::new(),
             scripted: Vec::new(),
         }
     }
@@ -193,39 +129,6 @@ impl WorldSpec {
         }
         for event in &self.events {
             match *event {
-                WorldEvent::CapacityDerate {
-                    dc,
-                    start_slot,
-                    end_slot,
-                    factor,
-                } => config.timeline.push(EngineEvent {
-                    dc,
-                    start_slot,
-                    end_slot,
-                    kind: EventKind::CapacityDerate { factor },
-                }),
-                WorldEvent::PriceSpike {
-                    dc,
-                    start_slot,
-                    end_slot,
-                    factor,
-                } => config.timeline.push(EngineEvent {
-                    dc,
-                    start_slot,
-                    end_slot,
-                    kind: EventKind::PriceSpike { factor },
-                }),
-                WorldEvent::PvDerate {
-                    dc,
-                    start_slot,
-                    end_slot,
-                    factor,
-                } => config.timeline.push(EngineEvent {
-                    dc,
-                    start_slot,
-                    end_slot,
-                    kind: EventKind::PvDerate { factor },
-                }),
                 WorldEvent::FlashCrowd {
                     start_slot,
                     duration_slots,
@@ -248,40 +151,10 @@ impl WorldSpec {
                     vms: ((base_population * fraction).round() as u32).max(2),
                     lifetime_slots,
                 }),
-                WorldEvent::DcOutage {
-                    dc,
-                    start_slot,
-                    end_slot,
-                } => config.timeline.push(EngineEvent {
-                    dc: Some(dc),
-                    start_slot,
-                    end_slot,
-                    kind: EventKind::DcOutage,
-                }),
-                WorldEvent::NetworkPartition {
-                    dc,
-                    start_slot,
-                    end_slot,
-                    factor,
-                } => config.timeline.push(EngineEvent {
-                    dc,
-                    start_slot,
-                    end_slot,
-                    kind: EventKind::NetworkPartition { factor },
-                }),
-                WorldEvent::CascadeDerate {
-                    dc,
-                    start_slot,
-                    end_slot,
-                    factor,
-                    lag_slots,
-                } => config.timeline.push(EngineEvent {
-                    dc: Some(dc),
-                    start_slot,
-                    end_slot,
-                    kind: EventKind::CascadeDerate { factor, lag_slots },
-                }),
             }
+        }
+        for &event in &self.timeline {
+            config.timeline.push(event);
         }
         config
             .fleet
@@ -295,6 +168,7 @@ impl WorldSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geoplace_dcsim::events::{EventKind, EventTimeline};
 
     #[test]
     fn baseline_spec_is_the_identity() {
@@ -352,29 +226,20 @@ mod tests {
     #[test]
     fn engine_events_land_on_the_timeline() {
         let mut spec = WorldSpec::baseline("dark", "drought", "-");
-        spec.events = vec![
-            WorldEvent::PvDerate {
-                dc: None,
-                start_slot: 0,
-                end_slot: 48,
-                factor: 0.2,
-            },
-            WorldEvent::PriceSpike {
-                dc: Some(1),
-                start_slot: 6,
-                end_slot: 18,
-                factor: 3.0,
-            },
-            WorldEvent::CapacityDerate {
-                dc: Some(0),
-                start_slot: 4,
-                end_slot: 10,
-                factor: 0.5,
-            },
+        let event = |dc, start_slot, end_slot, kind| EngineEvent {
+            dc,
+            start_slot,
+            end_slot,
+            kind,
+        };
+        spec.timeline = vec![
+            event(None, 0, 48, EventKind::PvDerate { factor: 0.2 }),
+            event(Some(1), 6, 18, EventKind::PriceSpike { factor: 3.0 }),
+            event(Some(0), 4, 10, EventKind::CapacityDerate { factor: 0.5 }),
         ];
         let config = spec.apply(ScenarioConfig::scaled(1));
         assert!(config.validate().is_ok());
-        assert_eq!(config.timeline.events().len(), 3);
+        assert_eq!(config.timeline, EventTimeline::new(spec.timeline.clone()));
         assert!(config.fleet.arrivals.bursts.is_empty());
     }
 
@@ -382,24 +247,27 @@ mod tests {
     fn failure_events_and_scripts_lower_onto_the_config() {
         use geoplace_workload::trace::TraceKind;
         let mut spec = WorldSpec::baseline("failing", "outages", "-");
-        spec.events = vec![
-            WorldEvent::DcOutage {
-                dc: 0,
+        spec.timeline = vec![
+            EngineEvent {
+                dc: Some(0),
                 start_slot: 4,
                 end_slot: 7,
+                kind: EventKind::DcOutage,
             },
-            WorldEvent::NetworkPartition {
+            EngineEvent {
                 dc: Some(1),
                 start_slot: 5,
                 end_slot: 9,
-                factor: 0.3,
+                kind: EventKind::NetworkPartition { factor: 0.3 },
             },
-            WorldEvent::CascadeDerate {
-                dc: 0,
+            EngineEvent {
+                dc: Some(0),
                 start_slot: 8,
                 end_slot: 10,
-                factor: 0.6,
-                lag_slots: 1,
+                kind: EventKind::CascadeDerate {
+                    factor: 0.6,
+                    lag_slots: 1,
+                },
             },
         ];
         spec.scripted = vec![ScriptedArrival {

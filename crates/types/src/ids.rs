@@ -9,7 +9,7 @@ use std::fmt;
 
 /// Identifier of a virtual machine, unique for the lifetime of a simulation.
 ///
-/// Ids are assigned densely by [`geoplace-workload`]'s fleet in arrival
+/// Ids are assigned densely by `geoplace_workload`'s fleet in arrival
 /// order and are never reused.
 ///
 /// # Examples

@@ -187,16 +187,6 @@ impl Joules {
     pub fn to_kilowatt_hours(self) -> KilowattHours {
         KilowattHours(self.0 / 3.6e6)
     }
-
-    /// Converts to gigajoules, the unit the paper reports weekly energy in.
-    pub fn to_gigajoules(self) -> f64 {
-        self.0 / 1.0e9
-    }
-
-    /// Average power if this energy is spread over `seconds`.
-    pub fn average_power_over(self, seconds: f64) -> Watts {
-        Watts(self.0 / seconds)
-    }
 }
 
 impl KilowattHours {
@@ -211,11 +201,6 @@ impl Megabytes {
     /// link bandwidths).
     pub fn to_bits(self) -> f64 {
         self.0 * 8.0e6
-    }
-
-    /// Converts to gigabytes.
-    pub fn to_gigabytes(self) -> Gigabytes {
-        Gigabytes(self.0 / 1000.0)
     }
 }
 

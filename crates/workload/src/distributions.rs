@@ -137,7 +137,7 @@ impl LogNormal {
     }
 
     /// Creates a sampler whose *arithmetic* mean is `mean`, with log-space
-    /// variance `variance` (the paper's "uniform variance in [1,4]").
+    /// variance `variance` (the paper's "uniform variance in \[1,4\]").
     ///
     /// # Errors
     ///

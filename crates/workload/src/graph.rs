@@ -334,11 +334,6 @@ impl TrafficGraph {
         &self.edges[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
-    /// Number of partners of one row.
-    pub fn degree(&self, i: usize) -> usize {
-        (self.offsets[i + 1] - self.offsets[i]) as usize
-    }
-
     /// The fleet-wide maximum total pair rate (MB/tick) — the attraction
     /// normalization basis (0.0 when no pairs exist).
     pub fn max_total_rate(&self) -> f64 {

@@ -12,7 +12,7 @@
 //! * [`cpucorr`] — CPU-load correlation (worst-case peak coincidence,
 //!   plus Pearson for comparison), dense or sparse top-k;
 //! * [`datacorr`] — bidirectional, runtime-varying data-exchange volumes
-//!   (log-normal, mean 10 MB, log-variance uniform in [1,4]);
+//!   (log-normal, mean 10 MB, log-variance uniform in \[1,4\]);
 //! * [`graph`] — arena-indexed CSR adjacency over the traffic pairs;
 //! * [`sparsity`] — the dense↔sparse crossover and approximation knobs.
 //!

@@ -243,13 +243,6 @@ impl VmTrace {
         let sum: f64 = slot.ticks().map(|t| self.utilization_at(t)).sum();
         sum / TICKS_PER_SLOT as f64
     }
-
-    /// Peak utilization over one slot.
-    pub fn slot_peak(&self, slot: TimeSlot) -> f64 {
-        slot.ticks()
-            .map(|t| self.utilization_at(t))
-            .fold(0.0, f64::max)
-    }
 }
 
 /// Hash `(seed, n)` to a uniform float in `[-1, 1)`.
