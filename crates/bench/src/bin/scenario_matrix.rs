@@ -9,10 +9,13 @@
 //!   digest of every cell;
 //! * `--quick` — the CI shape: every preset at the shared quick-matrix
 //!   scale (bench fleet, 12 slots) for both golden seeds (41, 42);
-//! * `--check` — after running, diff the produced digests against the
-//!   committed goldens (`crates/bench/tests/golden/digests.tsv`) and
-//!   exit 1 on any mismatch or missing row;
-//! * `--update` — rewrite the golden file from this run (quick mode
+//!   It also runs the screened tier: Proposed on every preset with
+//!   `dense_crossover = 0`, plus the paper world at full scale for a few
+//!   slots ([`screened_cells`]);
+//! * `--check` — after running, diff the produced digests against both
+//!   committed golden files (`crates/bench/tests/golden/digests.tsv` and
+//!   `digests_screened.tsv`) and exit 1 on any mismatch or missing row;
+//! * `--update` — rewrite both golden files from this run (quick mode
 //!   only, so the committed goldens stay the CI shape).
 //!
 //! `--check` or `--update` without `--quick`, and `--update` with
@@ -29,10 +32,11 @@
 
 use geoplace_bench::scenario::{
     exit_usage, golden_digests_path, golden_row, parse_golden_file, quick_matrix_config,
-    render_golden_file, run_policy_threads, CliArgs, PolicyKind, Scale, BASE_FLAGS,
-    QUICK_MATRIX_SEEDS,
+    render_golden_file, run_policy_threads, screened_cells, screened_digests_path, CliArgs,
+    PolicyKind, Scale, BASE_FLAGS, QUICK_MATRIX_SEEDS,
 };
 use geoplace_dcsim::config::ScenarioConfig;
+use std::path::Path;
 
 struct Cell {
     scenario: &'static str,
@@ -121,6 +125,7 @@ fn main() {
     };
 
     let mut cells: Vec<Cell> = Vec::new();
+    let mut screened: Vec<Cell> = Vec::new();
     for spec in &registry {
         for &seed in &seeds {
             let config = if quick {
@@ -149,8 +154,23 @@ fn main() {
         }
     }
 
+    if quick {
+        for cell in screened_cells(&registry, &seeds) {
+            eprintln!(
+                "running {:<16} seed {}: {} slots, screened correlation rows…",
+                cell.world, cell.seed, cell.config.horizon_slots
+            );
+            screened.push(run_cell(
+                cell.world,
+                &cell.config,
+                PolicyKind::Proposed,
+                cell.seed,
+            ));
+        }
+    }
+
     println!("scenario         policy      seed  cost EUR    energy GJ  worst rt s  migr  digest");
-    for cell in &cells {
+    for cell in cells.iter().chain(&screened) {
         println!(
             "{:<16} {:<10} {:>5}  {:>9.2}  {:>10.3}  {:>10.1}  {:>4}  {}",
             cell.scenario,
@@ -164,41 +184,26 @@ fn main() {
         );
     }
 
+    let files = [
+        (golden_digests_path(), &cells),
+        (screened_digests_path(), &screened),
+    ];
     if update {
-        let rows: Vec<String> = cells
-            .iter()
-            .map(|cell| golden_row(cell.scenario, cell.policy, cell.seed, &cell.digest))
-            .collect();
-        std::fs::write(golden_digests_path(), render_golden_file(&rows))
-            .expect("write golden digests");
-        println!(
-            "golden digests written to {}",
-            golden_digests_path().display()
-        );
+        for (path, cells) in &files {
+            let rows: Vec<String> = cells
+                .iter()
+                .map(|cell| golden_row(cell.scenario, cell.policy, cell.seed, &cell.digest))
+                .collect();
+            std::fs::write(path, render_golden_file(&rows)).expect("write golden digests");
+            println!("golden digests written to {}", path.display());
+        }
     }
 
     if check {
-        let committed = std::fs::read_to_string(golden_digests_path())
-            .unwrap_or_else(|e| panic!("read {}: {e}", golden_digests_path().display()));
-        let golden = parse_golden_file(&committed);
-        let mut failures = 0usize;
-        for cell in &cells {
-            let key = format!("{}\t{}\t{}", cell.scenario, cell.policy.name(), cell.seed);
-            match golden.get(&key) {
-                Some(expected) if *expected == cell.digest => {}
-                Some(expected) => {
-                    eprintln!(
-                        "MISMATCH {key}: committed {expected}, recomputed {}",
-                        cell.digest
-                    );
-                    failures += 1;
-                }
-                None => {
-                    eprintln!("MISSING golden row for {key}");
-                    failures += 1;
-                }
-            }
-        }
+        let failures: usize = files
+            .iter()
+            .map(|(path, cells)| check_file(path, cells))
+            .sum();
         if failures > 0 {
             eprintln!(
                 "{failures} golden mismatches — if the change is intentional, regenerate \
@@ -206,6 +211,37 @@ fn main() {
             );
             std::process::exit(1);
         }
-        println!("all {} cells match the committed goldens", cells.len());
+        println!(
+            "all {} cells match the committed goldens",
+            cells.len() + screened.len()
+        );
     }
+}
+
+/// Diffs `cells` against the committed golden file at `path`, printing
+/// each mismatch or missing row; returns their count.
+fn check_file(path: &Path, cells: &[Cell]) -> usize {
+    let committed =
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let golden = parse_golden_file(&committed);
+    let mut failures = 0usize;
+    for cell in cells {
+        let key = format!("{}\t{}\t{}", cell.scenario, cell.policy.name(), cell.seed);
+        match golden.get(&key) {
+            Some(expected) if *expected == cell.digest => {}
+            Some(expected) => {
+                eprintln!(
+                    "MISMATCH {key} ({}): committed {expected}, recomputed {}",
+                    path.display(),
+                    cell.digest
+                );
+                failures += 1;
+            }
+            None => {
+                eprintln!("MISSING golden row for {key} in {}", path.display());
+                failures += 1;
+            }
+        }
+    }
+    failures
 }

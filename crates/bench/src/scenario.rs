@@ -405,6 +405,63 @@ pub fn quick_matrix_config(spec: &WorldSpec, seed: u64) -> ScenarioConfig {
     spec.apply(base)
 }
 
+/// Horizon (slots) of the screened tier's paper-scale cell.
+pub const SCREENED_PAPER_SLOTS: u32 = 3;
+
+/// Seed of the screened tier's paper-scale cell.
+pub const SCREENED_PAPER_SEED: u64 = 42;
+
+/// World label of the screened tier's paper-scale cell (the `paper`
+/// preset at [`Scale::Paper`]).
+pub const SCREENED_PAPER_WORLD: &str = "paper_scale";
+
+/// One cell of the screened digest tier: Proposed over a world whose
+/// correlation rows come from the top-k screen and whose layout runs the
+/// far-field grid.
+#[derive(Debug, Clone)]
+pub struct ScreenedCell {
+    /// The row's world label: a preset name, or [`SCREENED_PAPER_WORLD`].
+    pub world: &'static str,
+    /// The row's seed.
+    pub seed: u64,
+    /// The lowered scenario.
+    pub config: ScenarioConfig,
+}
+
+/// The screened tier's cells over `specs` and `seeds`, in registry
+/// order: each preset's quick-matrix cell with `dense_crossover = 0`,
+/// then the `paper` preset at [`Scale::Paper`] for
+/// [`SCREENED_PAPER_SLOTS`] slots when `specs` holds `paper` and
+/// `seeds` holds [`SCREENED_PAPER_SEED`]. Only Proposed reads the
+/// correlation graph, so the tier runs Proposed alone: a baseline row
+/// would repeat `digests.tsv`.
+pub fn screened_cells(specs: &[WorldSpec], seeds: &[u64]) -> Vec<ScreenedCell> {
+    let mut cells = Vec::new();
+    for spec in specs {
+        for &seed in seeds {
+            let mut config = quick_matrix_config(spec, seed);
+            config.sparsity.dense_crossover = 0;
+            cells.push(ScreenedCell {
+                world: spec.name,
+                seed,
+                config,
+            });
+        }
+    }
+    if let Some(paper) = specs.iter().find(|spec| spec.name == "paper") {
+        if seeds.contains(&SCREENED_PAPER_SEED) {
+            let mut config = paper.apply(Scale::Paper.config(SCREENED_PAPER_SEED));
+            config.horizon_slots = SCREENED_PAPER_SLOTS;
+            cells.push(ScreenedCell {
+                world: SCREENED_PAPER_WORLD,
+                seed: SCREENED_PAPER_SEED,
+                config,
+            });
+        }
+    }
+    cells
+}
+
 /// Runs one policy with every kernel pinned to `threads` workers: the
 /// scenario's [`Parallelism`](geoplace_types::Parallelism) is the one
 /// thread budget, and the engine hands it to the policy with each
@@ -434,6 +491,12 @@ pub const GOLDEN_HEADER: &str = "# scenario\tpolicy\tseed\tdigest";
 /// the test reads.
 pub fn golden_digests_path() -> std::path::PathBuf {
     std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/digests.tsv")
+}
+
+/// Path of the committed screened-tier digest file (see
+/// [`screened_cells`]), written and read like [`golden_digests_path`].
+pub fn screened_digests_path() -> std::path::PathBuf {
+    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/digests_screened.tsv")
 }
 
 /// Renders the full golden file from canonical rows.

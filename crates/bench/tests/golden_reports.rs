@@ -1,12 +1,20 @@
 //! Golden-report regression matrix (tier-1 gate).
 //!
-//! `tests/golden/digests.tsv` commits one canonical report digest per
-//! (scenario preset, policy, seed) cell of the quick matrix — the bench
-//! fleet at [`QUICK_MATRIX_SLOTS`] slots, seeds [`QUICK_MATRIX_SEEDS`].
-//! This test recomputes the seed-42 rows (every preset × every policy)
-//! and fails on any drift; the CI `scenario_matrix --quick --check` job
-//! re-verifies the *full* file, including seed 41 and thread-count
-//! invariance.
+//! Two committed files hold one canonical report digest per cell:
+//!
+//! * `tests/golden/digests.tsv` — every (scenario preset, policy, seed)
+//!   cell of the quick matrix: the bench fleet at [`QUICK_MATRIX_SLOTS`]
+//!   slots, seeds [`QUICK_MATRIX_SEEDS`]. Below the dense crossover, so
+//!   its correlation rows are exact.
+//! * `tests/golden/digests_screened.tsv` — the screened tier
+//!   ([`screened_cells`]): Proposed on the same cells with
+//!   `dense_crossover = 0`, plus the paper world at full scale for
+//!   [`SCREENED_PAPER_SLOTS`] slots. It pins the top-k screen, the
+//!   far-field baseline and the layout's grid far field.
+//!
+//! These tests recompute the seed-42 rows of both files and fail on any
+//! drift; the CI `scenario_matrix --quick --check` job re-verifies both
+//! *full* files, including seed 41 and thread-count invariance.
 //!
 //! **Regenerating after an intentional behavior change:**
 //!
@@ -16,13 +24,14 @@
 //!
 //! This test and the matrix share `quick_matrix_config` and the
 //! canonical row format, so the regenerated file is the one this test
-//! checks. Commit the rewritten `digests.tsv` together with the change
-//! that moved the numbers, and say why in the PR.
+//! checks. Commit the rewritten files together with the change that
+//! moved the numbers, and say why in the PR.
 
 use geoplace_bench::scenario::{
     golden_digests_path, golden_row, parse_golden_file, quick_matrix_config, run_policy,
-    PolicyKind, QUICK_MATRIX_SEEDS,
+    screened_cells, screened_digests_path, PolicyKind, QUICK_MATRIX_SEEDS, SCREENED_PAPER_SLOTS,
 };
+use std::path::Path;
 
 /// Recomputes the digest rows for the given seeds, in registry order.
 fn compute_rows(seeds: &[u64]) -> Vec<String> {
@@ -39,32 +48,30 @@ fn compute_rows(seeds: &[u64]) -> Vec<String> {
     rows
 }
 
-#[test]
-fn golden_digests_match_the_committed_matrix() {
-    let committed = std::fs::read_to_string(golden_digests_path()).unwrap_or_else(|e| {
+/// Reads the committed golden file at `path`, asserts it holds
+/// `expected_cells` rows, and asserts every recomputed row matches it.
+fn assert_matches_committed(path: &Path, expected_cells: usize, rows: Vec<String>) {
+    let committed = std::fs::read_to_string(path).unwrap_or_else(|e| {
         panic!(
             "{}: {e}\nGenerate the goldens first: cargo run --release --bin \
              scenario_matrix -- --quick --update",
-            golden_digests_path().display()
+            path.display()
         )
     });
     let golden = parse_golden_file(&committed);
 
-    // The committed file must cover the full quick matrix: every
-    // preset × policy × seed, nothing extra.
-    let expected_cells =
-        geoplace_scenarios::registry().len() * PolicyKind::ALL.len() * QUICK_MATRIX_SEEDS.len();
+    // The committed file must cover its full tier, nothing extra.
     assert_eq!(
         golden.len(),
         expected_cells,
-        "golden file has {} rows, the quick matrix has {expected_cells} cells — regenerate \
+        "{} has {} rows, its tier has {expected_cells} cells — regenerate \
          with `scenario_matrix -- --quick --update`",
+        path.display(),
         golden.len()
     );
 
-    // Tier-1 recomputes the seed-42 slice; CI covers the rest.
     let mut drifted = Vec::new();
-    for row in compute_rows(&[42]) {
+    for row in rows {
         let (key, digest) = row.rsplit_once('\t').unwrap();
         match golden.get(key) {
             Some(expected) if expected == digest => {}
@@ -76,8 +83,36 @@ fn golden_digests_match_the_committed_matrix() {
     }
     assert!(
         drifted.is_empty(),
-        "golden digests drifted (intentional? regenerate with \
+        "{} drifted (intentional? regenerate with \
          `scenario_matrix -- --quick --update`):\n{}",
+        path.display(),
         drifted.join("\n")
     );
+}
+
+#[test]
+fn golden_digests_match_the_committed_matrix() {
+    let expected_cells =
+        geoplace_scenarios::registry().len() * PolicyKind::ALL.len() * QUICK_MATRIX_SEEDS.len();
+    // Tier-1 recomputes the seed-42 slice; CI covers the rest.
+    assert_matches_committed(&golden_digests_path(), expected_cells, compute_rows(&[42]));
+}
+
+#[test]
+fn screened_digests_match_the_committed_tier() {
+    let registry = geoplace_scenarios::registry();
+    let expected_cells = screened_cells(&registry, &QUICK_MATRIX_SEEDS).len();
+    assert_eq!(
+        expected_cells,
+        registry.len() * QUICK_MATRIX_SEEDS.len() + 1,
+        "every preset per seed, plus one {SCREENED_PAPER_SLOTS}-slot paper-scale cell"
+    );
+    let rows = screened_cells(&registry, &[42])
+        .into_iter()
+        .map(|cell| {
+            let digest = run_policy(&cell.config, PolicyKind::Proposed).digest();
+            golden_row(cell.world, PolicyKind::Proposed, cell.seed, &digest)
+        })
+        .collect();
+    assert_matches_committed(&screened_digests_path(), expected_cells, rows);
 }

@@ -996,6 +996,69 @@ mod tests {
         }
     }
 
+    /// Three warm-started updates over a fixed fleet (the windows of
+    /// slots 0–2), with exact or screened correlation rows: an FNV-1a
+    /// hash of every returned position's bits, and the iteration count
+    /// of each update.
+    fn layout_bits(screened: bool, alpha: f64) -> (u64, Vec<usize>) {
+        let fleet = fleet();
+        let config = ForceLayoutConfig {
+            alpha,
+            ..ForceLayoutConfig::default()
+        };
+        let mut layout = ForceLayout::new(config, 7);
+        let mut hash = geoplace_types::hash::Fnv64::new();
+        let mut iterations = Vec::new();
+        for slot in 0..3 {
+            let windows = fleet.windows(TimeSlot(slot));
+            let cpu = if screened {
+                CpuCorrelationMatrix::compute_sparse(
+                    &windows,
+                    &SparsityConfig {
+                        top_k: 4,
+                        peak_buckets: 6,
+                        candidates_per_vm: 12,
+                        baseline_samples: 128,
+                        ..SparsityConfig::default()
+                    },
+                )
+            } else {
+                CpuCorrelationMatrix::compute(&windows)
+            };
+            let (arena, traffic) = graph_for(&windows, fleet.data_correlation());
+            for p in layout.update(&arena, &cpu, &traffic, Exec::serial()) {
+                hash.write_u64(p.x.to_bits());
+                hash.write_u64(p.y.to_bits());
+            }
+            iterations.push(layout.last_iterations());
+        }
+        (hash.finish(), iterations)
+    }
+
+    #[test]
+    fn layout_bits_are_pinned() {
+        // Report digests hash totals only; this pins the layout itself,
+        // so a last-bit change in the force sums or a shifted Eq. 7 stop
+        // fails here first. Update the constants only with a change that
+        // means to move the layout. At α = 0.5 exact rows run to the
+        // cap; α = 0.95 makes Eq. 7 stop them early.
+        assert_eq!(
+            layout_bits(false, 0.5),
+            (0x2b9f1989696443dc, vec![50, 50, 50]),
+            "exact rows"
+        );
+        assert_eq!(
+            layout_bits(false, 0.95),
+            (0x9353857c2d306c46, vec![50, 7, 3]),
+            "exact rows, α = 0.95"
+        );
+        assert_eq!(
+            layout_bits(true, 0.5),
+            (0x81d90b987ef8680a, vec![9, 50, 50]),
+            "screened rows"
+        );
+    }
+
     #[test]
     fn sparse_path_separates_talkers_from_strangers() {
         // Same qualitative behavior as the dense path: heavy talkers pull
