@@ -25,25 +25,31 @@
 //! the initial position for the next time slot", which also warm-starts
 //! the modified k-means.
 //!
-//! # Dense and sparse paths
+//! # One loop over one correlation graph
 //!
 //! The layout operates SoA on [`VmArena`]-indexed slices with scratch
-//! buffers reused across updates, and follows the representation of the
-//! CPU-correlation structure it is handed:
+//! buffers reused across updates. It reads the CPU-correlation graph
+//! through its rows and its far-field baseline, whichever way the rows
+//! were built:
 //!
-//! * **dense** — exact pairwise repulsion (O(n²) per iteration, no
-//!   allocation after warm-up) with attraction summed over the sparse
-//!   traffic CSR rows; Eq. 7 runs over all pairs. The exactness
-//!   reference.
-//! * **sparse** — repulsion splits into an exact *near field* over each
-//!   VM's retained top-k neighbors (weighted `w − baseline`, so the far
-//!   field does not double-count them) and an approximate *far field*: a
-//!   uniform grid buckets all points, and every VM is repelled from each
-//!   cell's centroid with weight `count × baseline` — O(n·(k + cells))
-//!   per iteration. Eq. 7 runs over the union of traffic and top-k edges
-//!   (O(edges)).
+//! * **repulsion** splits into a *near field* over each VM's row,
+//!   weighted `(1 − α)(w − baseline)`, and, when the baseline is
+//!   positive, a *far field*: a uniform grid buckets all points, and
+//!   every VM is repelled from each cell's centroid with weight
+//!   `(1 − α) · count × baseline` — O(n·(k + cells)) per iteration.
+//!   Exact rows are complete with baseline 0, so the far field is off
+//!   and the near field is the exact all-pairs sum; screened top-k rows
+//!   leave every other pair to the far field.
+//! * **attraction** runs over the traffic CSR rows.
+//! * **Eq. 7** reads the layout's own potential
+//!   `P_k = Σ_i [Σ_row (1 − α)·w·d_ij + Σ_traffic α·F_a·d_ij]` at the
+//!   positions after `k` moves: `CostAR_k = P_k − P_{k−1}`. The force
+//!   pass sums it from the distances it already computes, so Eq. 7
+//!   costs no pass of its own. The loop stops, without moving, at the
+//!   first `k ≥ 2` whose cost is below the previous one, or after
+//!   `max_iterations` moves.
 //!
-//! Both paths sum in VM-id order and tie-break degenerate directions on
+//! Every sum runs in VM-id order and degenerate directions tie-break on
 //! VM ids, so the layout is invariant to how the caller enumerated the
 //! fleet.
 
@@ -85,8 +91,8 @@ pub struct ForceLayoutConfig {
     pub alpha: f64,
     /// Hard iteration cap.
     pub max_iterations: usize,
-    /// Far-field grid resolution per axis of the sparse path
-    /// (`grid_dim²` cells).
+    /// Far-field grid resolution per axis (`grid_dim²` cells); the grid
+    /// runs only over a correlation graph with a positive baseline.
     pub grid_dim: usize,
 }
 
@@ -101,68 +107,24 @@ impl Default for ForceLayoutConfig {
 }
 
 /// Reusable per-update buffers — sized once, reused every slot, so the
-/// steady-state update performs no O(n²) (dense) or O(n + edges)
-/// (sparse) allocations.
+/// steady-state update performs no O(n) allocations.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// Positions in arena order (also the returned slice).
     points: Vec<Point>,
-    /// Next-iteration positions.
-    next: Vec<Point>,
     /// Arena indices sorted by VM id — every accumulation walks this
     /// order so floating-point sums are enumeration-invariant.
     order: Vec<u32>,
-    /// Dense path: upper-triangular pairwise distances of the previous /
-    /// current iteration.
-    pair_dist: Vec<f64>,
-    pair_dist_next: Vec<f64>,
-    /// Sparse path: the Eq. 7 edge list (union of traffic and top-k
-    /// repulsion edges), its per-edge previous distances, and the
-    /// pre-dedup build buffer.
-    edges: Vec<CostEdge>,
-    edge_dist: Vec<f64>,
-    raw_edges: Vec<RawEdge>,
-    /// Sparse path: far-field grid accumulators.
+    /// Far-field grid accumulators.
     cell_count: Vec<u32>,
     cell_sum_x: Vec<f64>,
     cell_sum_y: Vec<f64>,
     cell_of: Vec<u32>,
-    /// Per-VM clamped displacements of one iteration — filled by the
-    /// parallel force workers (disjoint per-VM writes), applied serially.
-    steps: Vec<(f64, f64)>,
-}
-
-/// One undirected Eq. 7 edge with its combined force weight
-/// `α(F_a^{i→j}+F_a^{j→i}) + (1−α)(R-contributions)`.
-#[derive(Debug, Clone, Copy)]
-struct CostEdge {
-    i: u32,
-    j: u32,
-    weight: f64,
-}
-
-/// One pre-dedup Eq. 7 contribution, canonicalized to the lower-VM-id
-/// side so the sort groups both rows' entries of the same pair.
-#[derive(Debug, Clone, Copy)]
-struct RawEdge {
-    lo_id: VmId,
-    hi_id: VmId,
-    lo: u32,
-    hi: u32,
-    weight: f64,
-}
-
-impl RawEdge {
-    fn new(a: (VmId, u32), b: (VmId, u32), weight: f64) -> Self {
-        let ((lo_id, lo), (hi_id, hi)) = if a.0 < b.0 { (a, b) } else { (b, a) };
-        RawEdge {
-            lo_id,
-            hi_id,
-            lo,
-            hi,
-            weight,
-        }
-    }
+    /// Per-VM `(step_x, step_y, potential)` of one force pass: the
+    /// clamped displacement and the VM's term of the Eq. 7 potential —
+    /// filled by the parallel force workers (disjoint per-VM writes),
+    /// applied and folded serially.
+    steps: Vec<(f64, f64, f64)>,
 }
 
 /// The persistent force-directed layout.
@@ -241,14 +203,13 @@ impl ForceLayout {
     /// returns their final positions (aligned with the arena indices; the
     /// slice borrows the layout's scratch and is valid until the next
     /// update). Departed VMs are pruned; new VMs enter at deterministic
-    /// scattered positions. The dense or sparse path is selected by the
-    /// representation of `cpu_corr`.
+    /// scattered positions.
     ///
     /// The per-VM force accumulation fans out over `exec`. Each VM's
-    /// resultant is an independent pure function of the previous
-    /// iteration's positions (the update is Jacobi-style), and the Eq. 7
-    /// stopping sums stay on the calling thread, so every thread count
-    /// walks the identical iteration trajectory.
+    /// resultant and potential term are independent pure functions of
+    /// the current positions (the update is Jacobi-style), and the Eq. 7
+    /// fold stays on the calling thread, so every thread count walks the
+    /// identical iteration trajectory.
     pub fn update(
         &mut self,
         arena: &VmArena,
@@ -268,258 +229,45 @@ impl ForceLayout {
                 .entry(vm)
                 .or_insert_with(|| scatter(seed, vm));
         }
-        self.scratch.points.clear();
-        self.scratch
+        let scratch = &mut self.scratch;
+        scratch.points.clear();
+        scratch
             .points
             .extend(ids.iter().map(|vm| self.positions[vm]));
         if n < 2 {
             self.last_iterations = 0;
             return &self.scratch.points;
         }
+        scratch.order.clear();
+        scratch.order.extend(0..n as u32);
+        scratch.order.sort_unstable_by_key(|&i| ids[i as usize]);
 
-        self.scratch.order.clear();
-        self.scratch.order.extend(0..n as u32);
-        self.scratch
-            .order
-            .sort_unstable_by_key(|&i| ids[i as usize]);
-
-        if cpu_corr.is_sparse() {
-            self.update_sparse(arena, cpu_corr, traffic, exec);
-        } else {
-            self.update_dense(arena, cpu_corr, traffic, exec);
-        }
-
-        for (vm, point) in ids.iter().zip(self.scratch.points.iter()) {
-            self.positions.insert(*vm, *point);
-        }
-        &self.scratch.points
-    }
-
-    /// Exact path: pairwise repulsion over the full dense matrix,
-    /// attraction over the traffic CSR rows, Eq. 7 over all pairs.
-    fn update_dense(
-        &mut self,
-        arena: &VmArena,
-        cpu_corr: &CpuCorrelationMatrix,
-        traffic: &TrafficGraph,
-        exec: Exec,
-    ) {
-        let ids = arena.ids();
-        let n = ids.len();
-        let alpha = self.config.alpha;
-        let seed = self.seed;
-        let scratch = &mut self.scratch;
-        let pairs = n * (n - 1) / 2;
-        scratch.pair_dist.clear();
-        scratch.pair_dist.resize(pairs, 0.0);
-        scratch.pair_dist_next.clear();
-        scratch.pair_dist_next.resize(pairs, 0.0);
-
-        fill_pair_distances(&scratch.points, &mut scratch.pair_dist);
-        scratch.steps.clear();
-        scratch.steps.resize(n, (0.0, 0.0));
-        let mut prev_cost: Option<f64> = None;
-        let scale = displacement_scale(n);
-        let mut iterations = 0;
-        for k in 0..self.config.max_iterations {
-            iterations = k + 1;
-            // Per-VM resultants fan out across the workers into the
-            // reusable steps scratch (disjoint per-VM writes); each VM
-            // reads only the previous iteration's positions, so this is a
-            // pure map and thread-count invariant — and allocation-free
-            // in steady state.
-            {
-                let Scratch {
-                    points,
-                    order,
-                    steps,
-                    ..
-                } = &mut *scratch;
-                let points = &*points;
-                let order = &*order;
-                exec.map_mut(steps, |i, step| {
-                    let here = points[i];
-                    let id_i = ids[i];
-                    let mut fx = 0.0;
-                    let mut fy = 0.0;
-                    // Repulsion from every other VM (Eq. 5, weight
-                    // (1−α)·Corr_cpu), summed in VM-id order.
-                    for &jj in order {
-                        let j = jj as usize;
-                        if j == i {
-                            continue;
-                        }
-                        let f = (1.0 - alpha) * f64::from(cpu_corr.at(i, j));
-                        let (dx, dy) = direction(points[j], here, seed, pair_tie(id_i, ids[j]));
-                        fx += f * dx;
-                        fy += f * dy;
-                    }
-                    // Attraction only from communicating partners (rows
-                    // are id-sorted already).
-                    for edge in traffic.row(i) {
-                        let j = edge.target as usize;
-                        let f = alpha * traffic.attraction_in(edge);
-                        let (dx, dy) = direction(points[j], here, seed, pair_tie(id_i, ids[j]));
-                        fx += f * dx;
-                        fy += f * dy;
-                    }
-                    *step = clamp_step(fx * scale, fy * scale);
-                });
-            }
-            scratch.next.clear();
-            scratch.next.extend_from_slice(&scratch.points);
-            for (i, &(step_x, step_y)) in scratch.steps.iter().enumerate() {
-                scratch.next[i].x += step_x;
-                scratch.next[i].y += step_y;
-            }
-            std::mem::swap(&mut scratch.points, &mut scratch.next);
-
-            // Eq. 7 stopping rule over all pairs: the symmetric repulsion
-            // contributes 2(1−α)R_ij per unordered pair; the directed
-            // attractions contribute once per stored CSR entry.
-            fill_pair_distances(&scratch.points, &mut scratch.pair_dist_next);
-            let mut cost = 0.0;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let idx = pair_index(n, i, j);
-                    let delta = scratch.pair_dist_next[idx] - scratch.pair_dist[idx];
-                    cost += 2.0 * (1.0 - alpha) * f64::from(cpu_corr.at(i, j)) * delta;
-                }
-            }
-            for i in 0..n {
-                for edge in traffic.row(i) {
-                    let j = edge.target as usize;
-                    let idx = pair_index(n, i.min(j), i.max(j));
-                    let delta = scratch.pair_dist_next[idx] - scratch.pair_dist[idx];
-                    cost += alpha * traffic.attraction_in(edge) * delta;
-                }
-            }
-            std::mem::swap(&mut scratch.pair_dist, &mut scratch.pair_dist_next);
-            if let Some(previous) = prev_cost {
-                if cost < previous {
-                    break;
-                }
-            }
-            prev_cost = Some(cost);
-        }
-        self.last_iterations = iterations;
-    }
-
-    /// Approximate path: top-k near-field repulsion + uniform-grid
-    /// far field, attraction over the traffic CSR rows, Eq. 7 over the
-    /// retained edge union.
-    fn update_sparse(
-        &mut self,
-        arena: &VmArena,
-        cpu_corr: &CpuCorrelationMatrix,
-        traffic: &TrafficGraph,
-        exec: Exec,
-    ) {
-        let ids = arena.ids();
-        let n = ids.len();
         let alpha = self.config.alpha;
         let seed = self.seed;
         let baseline = f64::from(cpu_corr.baseline());
+        let far_field = baseline > 0.0;
         let grid_dim = self.config.grid_dim.max(1);
         let cells = grid_dim * grid_dim;
-        let scratch = &mut self.scratch;
-
-        // Eq. 7 edge union: traffic pairs + retained top-k pairs, each
-        // undirected pair once with its combined force weight. The raw
-        // list is scratch too — at stress scale it holds hundreds of
-        // thousands of entries every slot. Rows are visited in VM-id
-        // order (their contents are id-sorted already), so the pre-sort
-        // key sequence — and with it the equal-key merge order of the
-        // non-associative f64 weight fold below — is identical however
-        // the caller enumerated the fleet.
-        scratch.edges.clear();
-        scratch.raw_edges.clear();
-        for &ii in &scratch.order {
-            let i = ii as usize;
-            let id_i = ids[i];
-            for edge in traffic.row(i) {
-                let id_j = ids[edge.target as usize];
-                scratch.raw_edges.push(RawEdge::new(
-                    (id_i, ii),
-                    (id_j, edge.target),
-                    alpha * traffic.attraction_in(edge),
-                ));
-            }
-            for &(j, w) in cpu_corr.neighbors(i) {
-                let id_j = ids[j as usize];
-                scratch.raw_edges.push(RawEdge::new(
-                    (id_i, ii),
-                    (id_j, j),
-                    (1.0 - alpha) * f64::from(w),
-                ));
-            }
-        }
-        scratch
-            .raw_edges
-            .sort_unstable_by(|x, y| x.lo_id.cmp(&y.lo_id).then(x.hi_id.cmp(&y.hi_id)));
-        for entry in &scratch.raw_edges {
-            match scratch.edges.last_mut() {
-                Some(last) if last.i == entry.lo && last.j == entry.hi => {
-                    last.weight += entry.weight;
-                }
-                _ => scratch.edges.push(CostEdge {
-                    i: entry.lo,
-                    j: entry.hi,
-                    weight: entry.weight,
-                }),
-            }
-        }
-        scratch.edge_dist.clear();
-        scratch.edge_dist.extend(
-            scratch
-                .edges
-                .iter()
-                .map(|e| scratch.points[e.i as usize].distance(&scratch.points[e.j as usize])),
-        );
-
         scratch.cell_count.resize(cells, 0);
         scratch.cell_sum_x.resize(cells, 0.0);
         scratch.cell_sum_y.resize(cells, 0.0);
         scratch.cell_of.resize(n, 0);
         scratch.steps.clear();
-        scratch.steps.resize(n, (0.0, 0.0));
+        scratch.steps.resize(n, (0.0, 0.0, 0.0));
 
-        let mut prev_cost: Option<f64> = None;
         let scale = displacement_scale(n);
-        let mut iterations = 0;
-        for k in 0..self.config.max_iterations {
-            iterations = k + 1;
-
-            // Bucket the plane: per-cell population count and position
-            // sum (filled in VM-id order for enumeration invariance).
-            let (mut min_x, mut min_y) = (f64::MAX, f64::MAX);
-            let (mut max_x, mut max_y) = (f64::MIN, f64::MIN);
-            for p in &scratch.points {
-                min_x = min_x.min(p.x);
-                min_y = min_y.min(p.y);
-                max_x = max_x.max(p.x);
-                max_y = max_y.max(p.y);
+        // P_{k−1} and CostAR_{k−1}.
+        let mut prev_potential = 0.0;
+        let mut prev_cost: Option<f64> = None;
+        let mut moves = 0;
+        while moves < self.config.max_iterations {
+            if far_field {
+                fill_grid(scratch, grid_dim);
             }
-            let span_x = (max_x - min_x).max(1e-9);
-            let span_y = (max_y - min_y).max(1e-9);
-            scratch.cell_count[..cells].fill(0);
-            scratch.cell_sum_x[..cells].fill(0.0);
-            scratch.cell_sum_y[..cells].fill(0.0);
-            for &jj in &scratch.order {
-                let p = scratch.points[jj as usize];
-                let cx = (((p.x - min_x) / span_x * grid_dim as f64) as usize).min(grid_dim - 1);
-                let cy = (((p.y - min_y) / span_y * grid_dim as f64) as usize).min(grid_dim - 1);
-                let cell = cy * grid_dim + cx;
-                scratch.cell_of[jj as usize] = cell as u32;
-                scratch.cell_count[cell] += 1;
-                scratch.cell_sum_x[cell] += p.x;
-                scratch.cell_sum_y[cell] += p.y;
-            }
-
-            // Per-VM resultants fan out across the workers into the
-            // reusable steps scratch (pure map over the previous
-            // positions and the frozen grid — thread-count invariant,
-            // see `update_dense` — and allocation-free in steady state).
+            // Per-VM resultants and potential terms fan out across the
+            // workers into the reusable steps scratch: a pure map over
+            // the current positions and the frozen grid, so thread-count
+            // invariant and allocation-free in steady state.
             {
                 let Scratch {
                     points,
@@ -531,7 +279,7 @@ impl ForceLayout {
                     ..
                 } = &mut *scratch;
                 let points = &*points;
-                let cell_count = &*cell_count;
+                let cell_count = &cell_count[..cells];
                 let cell_sum_x = &*cell_sum_x;
                 let cell_sum_y = &*cell_sum_y;
                 let cell_of = &*cell_of;
@@ -540,77 +288,117 @@ impl ForceLayout {
                     let id_i = ids[i];
                     let mut fx = 0.0;
                     let mut fy = 0.0;
+                    let mut potential = 0.0;
                     // Far field: every VM repels from each populated
                     // cell's centroid at the baseline correlation (own
                     // contribution excluded from the home cell).
-                    for cell in 0..cells {
-                        let mut count = cell_count[cell];
-                        let mut sum_x = cell_sum_x[cell];
-                        let mut sum_y = cell_sum_y[cell];
-                        if cell_of[i] as usize == cell {
-                            count -= 1;
-                            sum_x -= here.x;
-                            sum_y -= here.y;
+                    if far_field {
+                        for (cell, &count) in cell_count.iter().enumerate() {
+                            let mut count = count;
+                            let mut sum_x = cell_sum_x[cell];
+                            let mut sum_y = cell_sum_y[cell];
+                            if cell_of[i] as usize == cell {
+                                count -= 1;
+                                sum_x -= here.x;
+                                sum_y -= here.y;
+                            }
+                            if count == 0 {
+                                continue;
+                            }
+                            let centroid = Point {
+                                x: sum_x / f64::from(count),
+                                y: sum_y / f64::from(count),
+                            };
+                            let f = (1.0 - alpha) * baseline * f64::from(count);
+                            let tie = (u64::from(id_i.0) << 32) | cell as u64;
+                            let (dx, dy, _) = direction(centroid, here, seed, tie);
+                            fx += f * dx;
+                            fy += f * dy;
                         }
-                        if count == 0 {
-                            continue;
-                        }
-                        let centroid = Point {
-                            x: sum_x / f64::from(count),
-                            y: sum_y / f64::from(count),
-                        };
-                        let f = (1.0 - alpha) * baseline * f64::from(count);
-                        let tie = (u64::from(id_i.0) << 32) | cell as u64;
-                        let (dx, dy) = direction(centroid, here, seed, tie);
-                        fx += f * dx;
-                        fy += f * dy;
                     }
-                    // Near field: the retained top-k neighbors, corrected
-                    // for the baseline the far field already applied to
-                    // them.
+                    // Near field (Eq. 5 repulsion, weight (1−α)·Corr_cpu):
+                    // the row, in VM-id order, corrected for the baseline
+                    // the far field already applied to it.
                     for &(j, w) in cpu_corr.neighbors(i) {
+                        let j = j as usize;
                         let f = (1.0 - alpha) * (f64::from(w) - baseline);
-                        let there = points[j as usize];
-                        let (dx, dy) =
-                            direction(there, here, seed, pair_tie(id_i, ids[j as usize]));
+                        let (dx, dy, d) = direction(points[j], here, seed, pair_tie(id_i, ids[j]));
                         fx += f * dx;
                         fy += f * dy;
+                        potential += (1.0 - alpha) * f64::from(w) * d;
                     }
-                    // Attraction from communicating partners.
+                    // Attraction only from communicating partners (rows
+                    // are id-sorted already).
                     for edge in traffic.row(i) {
                         let j = edge.target as usize;
                         let f = alpha * traffic.attraction_in(edge);
-                        let (dx, dy) = direction(points[j], here, seed, pair_tie(id_i, ids[j]));
+                        let (dx, dy, d) = direction(points[j], here, seed, pair_tie(id_i, ids[j]));
                         fx += f * dx;
                         fy += f * dy;
+                        potential += f * d;
                     }
-                    *step = clamp_step(fx * scale, fy * scale);
+                    let (step_x, step_y) = clamp_step(fx * scale, fy * scale);
+                    *step = (step_x, step_y, potential);
                 });
             }
-            scratch.next.clear();
-            scratch.next.extend_from_slice(&scratch.points);
-            for (i, &(step_x, step_y)) in scratch.steps.iter().enumerate() {
-                scratch.next[i].x += step_x;
-                scratch.next[i].y += step_y;
-            }
-            std::mem::swap(&mut scratch.points, &mut scratch.next);
 
-            // Eq. 7 over the retained edge union — O(edges).
-            let mut cost = 0.0;
-            for (edge, prev) in scratch.edges.iter().zip(scratch.edge_dist.iter_mut()) {
-                let dist =
-                    scratch.points[edge.i as usize].distance(&scratch.points[edge.j as usize]);
-                cost += edge.weight * (dist - *prev);
-                *prev = dist;
-            }
-            if let Some(previous) = prev_cost {
-                if cost < previous {
+            // Eq. 7: the cost of move k is P_k − P_{k−1}; stop before
+            // moving again once it falls.
+            let potential: f64 = scratch
+                .order
+                .iter()
+                .map(|&i| scratch.steps[i as usize].2)
+                .sum();
+            if moves > 0 {
+                let cost = potential - prev_potential;
+                if prev_cost.is_some_and(|previous| cost < previous) {
                     break;
                 }
+                prev_cost = Some(cost);
             }
-            prev_cost = Some(cost);
+            prev_potential = potential;
+
+            for (point, &(step_x, step_y, _)) in scratch.points.iter_mut().zip(&scratch.steps) {
+                point.x += step_x;
+                point.y += step_y;
+            }
+            moves += 1;
         }
-        self.last_iterations = iterations;
+        self.last_iterations = moves;
+
+        for (vm, point) in ids.iter().zip(self.scratch.points.iter()) {
+            self.positions.insert(*vm, *point);
+        }
+        &self.scratch.points
+    }
+}
+
+/// Buckets the plane into the far-field grid: per-cell population count
+/// and position sum, filled in VM-id order for enumeration invariance.
+fn fill_grid(scratch: &mut Scratch, grid_dim: usize) {
+    let cells = grid_dim * grid_dim;
+    let (mut min_x, mut min_y) = (f64::MAX, f64::MAX);
+    let (mut max_x, mut max_y) = (f64::MIN, f64::MIN);
+    for p in &scratch.points {
+        min_x = min_x.min(p.x);
+        min_y = min_y.min(p.y);
+        max_x = max_x.max(p.x);
+        max_y = max_y.max(p.y);
+    }
+    let span_x = (max_x - min_x).max(1e-9);
+    let span_y = (max_y - min_y).max(1e-9);
+    scratch.cell_count[..cells].fill(0);
+    scratch.cell_sum_x[..cells].fill(0.0);
+    scratch.cell_sum_y[..cells].fill(0.0);
+    for &jj in &scratch.order {
+        let p = scratch.points[jj as usize];
+        let cx = (((p.x - min_x) / span_x * grid_dim as f64) as usize).min(grid_dim - 1);
+        let cy = (((p.y - min_y) / span_y * grid_dim as f64) as usize).min(grid_dim - 1);
+        let cell = cy * grid_dim + cx;
+        scratch.cell_of[jj as usize] = cell as u32;
+        scratch.cell_count[cell] += 1;
+        scratch.cell_sum_x[cell] += p.x;
+        scratch.cell_sum_y[cell] += p.y;
     }
 }
 
@@ -650,37 +438,19 @@ fn pair_tie(to: VmId, from: VmId) -> u64 {
     (u64::from(to.0) << 32) | u64::from(from.0)
 }
 
-/// Unit vector from `from` to `to`; coincident points get a deterministic
-/// pseudo-random direction (derived from `tie`) so repulsion can separate
-/// them.
-fn direction(from: Point, to: Point, seed: u64, tie: u64) -> (f64, f64) {
+/// Unit vector from `from` to `to`, and the distance between them;
+/// coincident points get a deterministic pseudo-random direction (derived
+/// from `tie`) so repulsion can separate them.
+fn direction(from: Point, to: Point, seed: u64, tie: u64) -> (f64, f64, f64) {
     let dx = to.x - from.x;
     let dy = to.y - from.y;
     let len = (dx * dx + dy * dy).sqrt();
     if len < 1e-12 {
         let h = hash_u64(seed, tie);
         let angle = (h & 0xFFFF) as f64 / 65535.0 * std::f64::consts::TAU;
-        return (angle.cos(), angle.sin());
+        return (angle.cos(), angle.sin(), len);
     }
-    (dx / len, dy / len)
-}
-
-/// Upper-triangular index of pair `(i, j)`, `i < j`.
-fn pair_index(n: usize, i: usize, j: usize) -> usize {
-    debug_assert!(i < j && j < n);
-    i * n - i * (i + 1) / 2 + (j - i - 1)
-}
-
-fn fill_pair_distances(points: &[Point], out: &mut [f64]) {
-    let n = points.len();
-    let mut idx = 0;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            out[idx] = points[i].distance(&points[j]);
-            idx += 1;
-        }
-    }
-    debug_assert_eq!(idx, out.len());
+    (dx / len, dy / len, len)
 }
 
 #[cfg(test)]

@@ -15,20 +15,27 @@
 //! anti-coincident. A classic Pearson correlation is also provided for
 //! comparison and testing.
 //!
-//! # Dense and sparse representations
+//! # One representation: correlation rows
 //!
-//! [`CpuCorrelationMatrix::compute`] materializes the exact `n × n`
-//! matrix — O(n²·w) time and O(n²) memory, fine up to a few hundred VMs
-//! and the ground truth for tests. Above the
-//! [`SparsityConfig::dense_crossover`] the same type switches to a sparse
-//! *top-k neighbor graph*: per VM only the `k` most-correlated partners
-//! are stored exactly (CSR-style adjacency), and every other pair is
-//! approximated by a single *baseline* correlation estimated from a
-//! deterministic pair sample. Candidates for the top-k search come from a
-//! peak-time screen: VMs are bucketed by the tick of their window peak,
-//! and only VMs in nearby buckets — the ones whose peaks can coincide —
-//! are evaluated exactly. Both representations sit behind the same
-//! accessor API ([`CpuCorrelationMatrix::at`] et al.).
+//! The matrix is a CSR graph: row `i` lists `(neighbor, weight)` pairs
+//! sorted by neighbor VM id, and every pair outside both rows reads as
+//! one *baseline* correlation. Two builders fill it:
+//!
+//! * **exact** ([`CpuCorrelationMatrix::compute`]) evaluates every pair
+//!   once — O(n²·w) time, O(n²) memory — and writes every row complete:
+//!   all other VMs in VM-id order, baseline 0.0 (no pair is left out).
+//!   Fine up to a few hundred VMs, and the ground truth for tests.
+//! * **screened** ([`CpuCorrelationMatrix::compute_sparse`]) keeps, per
+//!   VM, only the `k` most-correlated partners it finds, with exact
+//!   weights, and estimates the baseline from a deterministic pair
+//!   sample. Candidates come from a peak-time screen: VMs are bucketed
+//!   by the tick of their window peak, and only VMs in nearby buckets —
+//!   the ones whose peaks can coincide — are evaluated exactly.
+//!
+//! [`SparsityConfig::dense_crossover`] picks the builder by fleet size
+//! ([`CpuCorrelationMatrix::compute_auto_exec`]); consumers read rows,
+//! the baseline and [`CpuCorrelationMatrix::at`] the same way whichever
+//! builder ran.
 
 use crate::sparsity::SparsityConfig;
 use crate::window::{peak_of, UtilizationWindows};
@@ -37,8 +44,8 @@ use geoplace_types::{Exec, VmId};
 
 /// Symmetric pairwise CPU-load correlation structure in `(0, 1]`.
 ///
-/// Dense (exact matrix) or sparse (top-k neighbor graph + far-field
-/// baseline) behind one API; see the module docs.
+/// Correlation rows (complete and exact, or screened top-k) plus a
+/// far-field baseline; see the module docs.
 ///
 /// # Examples
 ///
@@ -59,23 +66,15 @@ use geoplace_types::{Exec, VmId};
 #[derive(Debug, Clone, PartialEq)]
 pub struct CpuCorrelationMatrix {
     ids: Vec<VmId>,
-    n: usize,
-    repr: Repr,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum Repr {
-    /// Row-major `n × n` symmetric matrix; diagonal is 1.0.
-    Dense { values: Vec<f32> },
-    /// CSR top-k adjacency: row `i`'s neighbors live in
-    /// `neighbors[offsets[i]..offsets[i+1]]`, sorted by neighbor VM id.
-    /// Pairs outside every retained list read as `baseline`.
-    Sparse {
-        offsets: Vec<u32>,
-        neighbors: Vec<(u32, f32)>,
-        baseline: f32,
-        config: SparsityConfig,
-    },
+    /// Row `i`'s entries live in `neighbors[offsets[i]..offsets[i+1]]`.
+    offsets: Vec<u32>,
+    /// `(neighbor_index, weight)` entries, each row sorted by neighbor VM
+    /// id.
+    neighbors: Vec<(u32, f32)>,
+    /// Correlation of every pair outside both rows.
+    baseline: f32,
+    /// The screen's configuration; `None` for exact rows.
+    sparsity: Option<SparsityConfig>,
 }
 
 /// Which pairwise statistic the repulsion force uses.
@@ -91,23 +90,25 @@ pub enum CorrelationMetric {
 }
 
 impl CpuCorrelationMatrix {
-    /// Computes the exact dense peak-coincidence matrix for every VM pair.
+    /// Computes the exact peak-coincidence rows of every VM pair.
     pub fn compute(windows: &UtilizationWindows) -> Self {
         Self::compute_exec(windows, CorrelationMetric::PeakCoincidence, Exec::serial())
     }
 
-    /// Computes the exact dense pairwise matrix under the chosen metric;
-    /// both yield values in `(0, 1]` with 1.0 meaning "worst co-location
-    /// candidate". Rows are evaluated across the worker threads of
-    /// `exec`. Each matrix entry is an independent pure function of two
-    /// windows, so every thread count produces the identical matrix.
+    /// Computes exact rows under the chosen metric; both yield values in
+    /// `(0, 1]` with 1.0 meaning "worst co-location candidate". Each pair
+    /// is evaluated once, across the worker threads of `exec`, and
+    /// written into both of its rows. Every row is complete — all other
+    /// VMs in VM-id order — so the baseline is 0.0. Each entry is an
+    /// independent pure function of two windows, so every thread count
+    /// produces the identical rows.
     pub fn compute_exec(
         windows: &UtilizationWindows,
         metric: CorrelationMetric,
         exec: Exec,
     ) -> Self {
         let n = windows.len();
-        let mut values = vec![0.0f32; n * n];
+        let ids = windows.ids().to_vec();
         let peaks: Vec<f32> = (0..n).map(|i| peak_of(windows.row_at(i))).collect();
         // Upper-triangular row tails per chunk; the symmetric scatter is
         // a cheap serial pass (no window scans).
@@ -125,71 +126,72 @@ impl CpuCorrelationMatrix {
             .into_iter()
             .flatten()
             .collect();
+        // Row i holds every other VM in VM-id order, so VM j sits at
+        // j's rank in that order, less one past i's own rank.
+        let mut rank = vec![0usize; n];
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_unstable_by_key(|&i| ids[i]);
+        for (r, &i) in order.iter().enumerate() {
+            rank[i] = r;
+        }
+        let row_len = n.saturating_sub(1);
+        let entry = |i: usize, j: usize| i * row_len + rank[j] - usize::from(rank[j] > rank[i]);
+        let mut neighbors = vec![(0u32, 0.0f32); n * row_len];
         for (i, tail) in tails.iter().enumerate() {
-            values[i * n + i] = 1.0;
-            for (offset, &c) in tail.iter().enumerate() {
+            for (offset, &w) in tail.iter().enumerate() {
                 let j = i + 1 + offset;
-                values[i * n + j] = c;
-                values[j * n + i] = c;
+                neighbors[entry(i, j)] = (j as u32, w);
+                neighbors[entry(j, i)] = (i as u32, w);
             }
         }
         CpuCorrelationMatrix {
-            ids: windows.ids().to_vec(),
-            n,
-            repr: Repr::Dense { values },
+            ids,
+            offsets: (0..=n).map(|i| (i * row_len) as u32).collect(),
+            neighbors,
+            baseline: 0.0,
+            sparsity: None,
         }
     }
 
     /// The canonical *bootstrap* matrix over `ids`: every pair reads the
     /// degenerate full correlation 1.0 — the value a zero observation
     /// window produces under every metric's no-load convention — stored
-    /// as a retained-edge-free sparse structure with baseline 1.0.
+    /// as empty screened rows with baseline 1.0.
     ///
     /// The point of a dedicated constructor (rather than computing over
-    /// the zero windows) is **representation independence**: an all-zero
-    /// window carries no pairwise information, yet a dense compute and a
-    /// sparse compute of it hand the force layout structurally different
-    /// inputs (exact all-pairs vs top-k + far field), so dense- and
-    /// sparse-configured runs would already diverge at the slot-0
+    /// the zero windows) is **builder independence**: an all-zero window
+    /// carries no pairwise information, yet the exact and the screened
+    /// builder hand the force layout structurally different rows of it
+    /// (complete rows vs top-k + far field), so exact- and
+    /// screened-configured runs would already diverge at the slot-0
     /// decision. This matrix is identical whatever the scenario's
     /// sparsity selection, keeping the bootstrap decision — and with it
     /// the paired dense↔sparse comparisons — coupled.
     pub fn degenerate(ids: &[VmId], sparsity: &SparsityConfig) -> Self {
-        let n = ids.len();
         CpuCorrelationMatrix {
             ids: ids.to_vec(),
-            n,
-            repr: Repr::Sparse {
-                offsets: vec![0; n + 1],
-                neighbors: Vec::new(),
-                baseline: 1.0,
-                config: *sparsity,
-            },
+            offsets: vec![0; ids.len() + 1],
+            neighbors: Vec::new(),
+            baseline: 1.0,
+            sparsity: Some(*sparsity),
         }
     }
 
     /// True for the canonical bootstrap matrix of
-    /// [`CpuCorrelationMatrix::degenerate`]: retained-edge-free sparse
-    /// with the no-load baseline 1.0. Consumers that would re-derive a
+    /// [`CpuCorrelationMatrix::degenerate`]: empty rows with the no-load
+    /// baseline 1.0. Consumers that would re-derive a
     /// matrix from the observation windows (the Pearson ablation) check
     /// this instead — no metric is computable from a zero observation,
     /// and recomputing over it would reintroduce the representation
     /// dependence the canonical matrix removes.
     pub fn is_degenerate(&self) -> bool {
-        matches!(
-            &self.repr,
-            Repr::Sparse {
-                neighbors,
-                baseline,
-                ..
-            } if neighbors.is_empty() && *baseline == 1.0
-        )
+        self.neighbors.is_empty() && self.baseline == 1.0
     }
 
-    /// Computes the representation [`SparsityConfig`] selects for this
-    /// fleet size under `metric`: exact dense below the crossover, sparse
-    /// top-k above. `exec` leaves the representation choice unaffected;
-    /// only the row evaluation fans out.
+    /// Computes the rows [`SparsityConfig`] selects for this fleet size
+    /// under `metric`: exact below the crossover, screened top-k at or
+    /// above it. `exec` leaves the choice unaffected; only the row
+    /// evaluation fans out.
     pub fn compute_auto_exec(
         windows: &UtilizationWindows,
         metric: CorrelationMetric,
@@ -203,9 +205,8 @@ impl CpuCorrelationMatrix {
         }
     }
 
-    /// Computes the sparse top-k neighbor graph (peak-bucket candidate
-    /// screen, exact weights on retained edges, sampled far-field
-    /// baseline). Permutation invariant: the same fleet presented in a
+    /// Computes screened top-k rows (peak-bucket candidate screen, exact
+    /// weights on retained edges, sampled far-field baseline). Permutation invariant: the same fleet presented in a
     /// different row order yields the same per-VM neighbor sets and
     /// weights.
     pub fn compute_sparse(windows: &UtilizationWindows, sparsity: &SparsityConfig) -> Self {
@@ -387,24 +388,21 @@ impl CpuCorrelationMatrix {
         );
         CpuCorrelationMatrix {
             ids,
-            n,
-            repr: Repr::Sparse {
-                offsets,
-                neighbors,
-                baseline,
-                config: *sparsity,
-            },
+            offsets,
+            neighbors,
+            baseline,
+            sparsity: Some(*sparsity),
         }
     }
 
     /// Number of VMs covered.
     pub fn len(&self) -> usize {
-        self.n
+        self.ids.len()
     }
 
     /// True if the matrix covers no VMs.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.ids.is_empty()
     }
 
     /// The VM ids in matrix order.
@@ -412,48 +410,34 @@ impl CpuCorrelationMatrix {
         &self.ids
     }
 
-    /// True for the sparse top-k representation.
+    /// True for screened top-k rows (including the bootstrap matrix of
+    /// [`CpuCorrelationMatrix::degenerate`]); false for exact rows.
     pub fn is_sparse(&self) -> bool {
-        matches!(self.repr, Repr::Sparse { .. })
+        self.sparsity.is_some()
     }
 
-    /// The sparsity configuration the sparse representation was built
-    /// with; `None` for dense.
+    /// The sparsity configuration screened rows were built with; `None`
+    /// for exact rows.
     pub fn sparsity(&self) -> Option<&SparsityConfig> {
-        match &self.repr {
-            Repr::Dense { .. } => None,
-            Repr::Sparse { config, .. } => Some(config),
-        }
+        self.sparsity.as_ref()
     }
 
-    /// Retained `(neighbor_index, weight)` list of one row, sorted by
-    /// neighbor VM id. Empty for the dense representation (every pair is
-    /// exact there — use [`CpuCorrelationMatrix::at`]).
+    /// Row `i`: its `(neighbor_index, weight)` entries, sorted by
+    /// neighbor VM id. Exact rows hold every other VM.
     pub fn neighbors(&self, i: usize) -> &[(u32, f32)] {
-        match &self.repr {
-            Repr::Dense { .. } => &[],
-            Repr::Sparse {
-                offsets, neighbors, ..
-            } => &neighbors[offsets[i] as usize..offsets[i + 1] as usize],
-        }
+        &self.neighbors[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
-    /// Far-field correlation estimate for pairs outside every retained
-    /// top-k list (0.0 for the dense representation, which has no far
-    /// field).
+    /// Correlation of every pair outside both rows: the sampled
+    /// far-field estimate of screened rows, 0.0 for exact rows (which
+    /// leave no pair out).
     pub fn baseline(&self) -> f32 {
-        match &self.repr {
-            Repr::Dense { .. } => 0.0,
-            Repr::Sparse { baseline, .. } => *baseline,
-        }
+        self.baseline
     }
 
-    /// Total number of retained directed edges (diagnostic; 0 for dense).
+    /// Total number of stored directed entries: `n·(n−1)` for exact rows.
     pub fn edge_count(&self) -> usize {
-        match &self.repr {
-            Repr::Dense { .. } => 0,
-            Repr::Sparse { neighbors, .. } => neighbors.len(),
-        }
+        self.neighbors.len()
     }
 
     /// Correlation between two VMs by id.
@@ -463,36 +447,32 @@ impl CpuCorrelationMatrix {
         Some(self.at(i, j))
     }
 
-    /// Correlation between two VMs by dense position. Exact under the
-    /// dense representation; under the sparse one, pairs outside both
-    /// rows' retained lists read as the far-field baseline.
+    /// Correlation between two VMs by position. Exact for exact rows;
+    /// for screened rows, pairs outside both rows read as the far-field
+    /// baseline.
     ///
     /// # Panics
     ///
     /// Panics if either position is out of range.
     pub fn at(&self, i: usize, j: usize) -> f32 {
-        match &self.repr {
-            Repr::Dense { values } => values[i * self.n + j],
-            Repr::Sparse { baseline, .. } => {
-                if i == j {
-                    assert!(i < self.n, "position {i} out of range");
-                    return 1.0;
-                }
-                // Top-k lists are per-row, so the edge may survive in
-                // either endpoint's list; checking both keeps the view
-                // symmetric.
-                self.lookup(i, j)
-                    .or_else(|| self.lookup(j, i))
-                    .unwrap_or(*baseline)
-            }
+        if i == j {
+            assert!(i < self.len(), "position {i} out of range");
+            return 1.0;
         }
+        // Screened rows are per-VM top-k lists, so the edge may survive
+        // in either endpoint's row; checking both keeps the view
+        // symmetric.
+        self.lookup(i, j)
+            .or_else(|| self.lookup(j, i))
+            .unwrap_or(self.baseline)
     }
 
+    /// Weight of `j` in row `i`, found by VM id (rows are id-sorted).
     fn lookup(&self, i: usize, j: usize) -> Option<f32> {
-        self.neighbors(i)
-            .iter()
-            .find(|&&(idx, _)| idx as usize == j)
-            .map(|&(_, w)| w)
+        let row = self.neighbors(i);
+        row.binary_search_by_key(&self.ids[j], |&(k, _)| self.ids[k as usize])
+            .ok()
+            .map(|at| row[at].1)
     }
 }
 
@@ -518,7 +498,7 @@ fn pair_metric(
 }
 
 /// Mean correlation of a deterministic pseudo-random pair sample — the
-/// sparse representation's far-field value. Pairs are drawn in VM-id
+/// screened rows' far-field value. Pairs are drawn in VM-id
 /// order so the estimate is permutation invariant.
 fn sample_baseline(
     windows: &UtilizationWindows,
@@ -662,6 +642,46 @@ mod tests {
             assert_eq!(m.at(i, i), 1.0);
             for j in 0..3 {
                 assert_eq!(m.at(i, j), m.at(j, i));
+            }
+        }
+    }
+
+    #[test]
+    fn exact_rows_are_complete_in_vm_id_order_on_shuffled_input() {
+        // The force layout's near field over these rows must add the
+        // same terms in the same order as an all-pairs sum in VM-id
+        // order: every other VM, id-sorted, weighted by its exact pair
+        // value.
+        let mut rows = phased_rows(13, 48);
+        for (k, (id, _)) in rows.iter_mut().enumerate() {
+            *id = VmId(((k * 7) % 13) as u32 * 3 + 1);
+        }
+        rows.reverse();
+        rows.swap(2, 9);
+        let windows = UtilizationWindows::from_rows(rows);
+        let m = CpuCorrelationMatrix::compute(&windows);
+        let n = m.len();
+        let ids = m.ids();
+        assert_eq!(m.baseline(), 0.0);
+        assert_eq!(m.sparsity(), None);
+        assert!(!m.is_sparse());
+        assert_eq!(m.edge_count(), n * (n - 1));
+        for i in 0..n {
+            let mut others: Vec<usize> = (0..n).filter(|&j| j != i).collect();
+            others.sort_unstable_by_key(|&j| ids[j]);
+            let row = m.neighbors(i);
+            let got: Vec<usize> = row.iter().map(|&(j, _)| j as usize).collect();
+            assert_eq!(got, others, "row {i} must list every other VM by id");
+            for &(j, w) in row {
+                let j = j as usize;
+                let exact = peak_coincidence(
+                    windows.row_at(i),
+                    windows.row_at(j),
+                    peak_of(windows.row_at(i)),
+                    peak_of(windows.row_at(j)),
+                );
+                assert_eq!(w.to_bits(), exact.to_bits(), "({i},{j})");
+                assert_eq!(w.to_bits(), m.at(j, i).to_bits(), "({j},{i})");
             }
         }
     }
