@@ -282,3 +282,70 @@ fn hostile_interleaving_leaves_the_digest_untouched() -> Result<(), String> {
     );
     Ok(())
 }
+
+/// A checkpoint of one trace session restored into a session replaying
+/// another trace: the restore must be refused with a structured error,
+/// and the session must replay its own trace on to the digest of an
+/// uninterrupted session. Trace B's second row wires to B's first VM,
+/// which trace A's cursor and id map know nothing about.
+#[test]
+fn another_traces_checkpoint_is_refused() -> Result<(), String> {
+    use geoplace_bench::Scale;
+    use geoplace_workload::tracefile::{parse_trace, TRACE_HEADER};
+    let mut config = Scale::Bench.config(42);
+    config.fleet.arrivals.groups_per_slot = 0.0;
+    config.horizon_slots = 4;
+    let trace_a = parse_trace(&format!(
+        "{TRACE_HEADER}\n1,0,4.0,8,web,11,,,\n2,1,2.0,8,batch,12,,,\n"
+    ))?;
+    let trace_b = parse_trace(&format!(
+        "{TRACE_HEADER}\n1,5,4.0,8,web,11,,,\n2,6,2.0,8,batch,12,5,6.5,1.5\n"
+    ))?;
+    let finish = |session: &mut Session| -> Result<String, String> {
+        while ok(&session.handle_line(r#"{"cmd":"get_state"}"#))?
+            .get("done")
+            .and_then(Value::as_bool)
+            == Some(false)
+        {
+            ok(&session.handle_line(r#"{"cmd":"advance"}"#))?;
+            ok(&session.handle_line(r#"{"cmd":"decide"}"#))?;
+        }
+        let response = session.handle_line(r#"{"cmd":"shutdown"}"#);
+        Ok(ok(&response)?
+            .get("digest")
+            .and_then(Value::as_str)
+            .ok_or("no digest in shutdown response")?
+            .to_owned())
+    };
+    let expected = finish(&mut Session::with_trace(
+        &config,
+        PolicyKind::Proposed,
+        trace_b.clone(),
+    )?)?;
+
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+    let path = dir.join("another_trace.gpck");
+    let mut session_a = Session::with_trace(&config, PolicyKind::Proposed, trace_a)?;
+    for _ in 0..2 {
+        ok(&session_a.handle_line(r#"{"cmd":"advance"}"#))?;
+        ok(&session_a.handle_line(r#"{"cmd":"decide"}"#))?;
+    }
+    let path_json = format!("{:?}", path.display().to_string());
+    ok(&session_a.handle_line(&format!(r#"{{"cmd":"checkpoint","path":{path_json}}}"#)))?;
+
+    let mut session_b = Session::with_trace(&config, PolicyKind::Proposed, trace_b)?;
+    let message =
+        err(&session_b.handle_line(&format!(r#"{{"cmd":"restore","path":{path_json}}}"#)))?;
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        message.contains("another trace"),
+        "the refusal must say the checkpoint replays another trace: {message}"
+    );
+    assert_eq!(
+        finish(&mut session_b)?,
+        expected,
+        "the refused restore perturbed the session"
+    );
+    Ok(())
+}

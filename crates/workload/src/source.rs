@@ -12,6 +12,7 @@
 use crate::fleet::{ExternalArrival, ExternalPair, ExternalSlotEvents, FleetDelta, VmFleet};
 use crate::trace::TraceKind;
 use crate::tracefile::TraceRow;
+use geoplace_types::hash::Fnv64;
 use geoplace_types::time::TimeSlot;
 use geoplace_types::{Result, VmId};
 use std::collections::BTreeMap;
@@ -199,12 +200,33 @@ impl TraceSource {
     pub fn engine_id(&self, trace_vm: u32) -> Option<VmId> {
         self.ids.get(&trace_vm).copied()
     }
+
+    /// FNV-1a fingerprint of the parsed rows: a checkpoint records it,
+    /// so its cursor and id map restore only into a replay of the same
+    /// trace.
+    fn fingerprint(&self) -> u64 {
+        let mut hash = Fnv64::new();
+        for row in &self.rows {
+            hash.write_u32(row.slot);
+            hash.write_u32(row.vm);
+            hash.write_f64(row.memory_gb);
+            hash.write_u32(row.lifetime_slots);
+            hash.write_bytes(&[row.kind as u8]);
+            hash.write_u64(row.trace_seed);
+            hash.write_u64(row.peer.map_or(u64::MAX, u64::from));
+            hash.write_f64(row.mb_to_peer);
+            hash.write_f64(row.mb_from_peer);
+        }
+        hash.finish()
+    }
 }
 
 impl geoplace_types::snap::Snapshot for TraceSource {
-    /// Saves the replay cursor and the trace-id → engine-id map; the rows
-    /// themselves come back from re-parsing the trace file on restore.
+    /// Saves the rows' fingerprint, the replay cursor and the trace-id →
+    /// engine-id map; the rows themselves come back from re-parsing the
+    /// trace file on restore.
     fn save_state(&self, w: &mut geoplace_types::snap::SnapWriter) {
+        w.write_u64(self.fingerprint());
         w.write_u32(self.cursor as u32);
         w.write_u32(self.ids.len() as u32);
         for (&trace_vm, &engine_id) in &self.ids {
@@ -213,7 +235,24 @@ impl geoplace_types::snap::Snapshot for TraceSource {
         }
     }
 
+    /// # Errors
+    ///
+    /// Refuses a checkpoint of another trace: its cursor and id map
+    /// would point into rows this replayer does not hold.
     fn restore_state(&mut self, r: &mut geoplace_types::snap::SnapReader<'_>) -> Result<()> {
+        let at = r.offset();
+        let fingerprint = r.read_u64()?;
+        if fingerprint != self.fingerprint() {
+            return Err(geoplace_types::Error::snapshot(
+                "source",
+                at,
+                format!(
+                    "checkpoint replays another trace: rows fingerprint {fingerprint:016x}, \
+                     this session's {:016x}",
+                    self.fingerprint()
+                ),
+            ));
+        }
         let at = r.offset();
         let cursor = r.read_u32()? as usize;
         if cursor > self.rows.len() {
