@@ -9,11 +9,11 @@
 
 use geoplace_bench::figures;
 use geoplace_bench::scenario::{
-    dense_sparse_pair, exit_usage, proposed_config_for, run_all, run_proposed_with, CliArgs, Scale,
-    BASE_FLAGS,
+    dense_sparse_pair, exit_usage, policy_for, proposed_config_for, run_all, run_proposed_with,
+    CliArgs, PolicyKind, Scale, BASE_FLAGS,
 };
 use geoplace_bench::table::render_table;
-use geoplace_core::{CapsConfig, ProposedConfig, ProposedPolicy};
+use geoplace_core::{CapsConfig, ProposedConfig};
 use geoplace_dcsim::engine::{Scenario, Simulator};
 use geoplace_dcsim::metrics::SimulationReport;
 use geoplace_energy::green::GreenController;
@@ -336,12 +336,12 @@ fn green_ablation(cli: &CliArgs) {
     let mut rows = Vec::new();
     for (label, disable) in [("arbitrage ON (paper)", false), ("arbitrage OFF", true)] {
         let scenario = Scenario::build(&config).expect("valid config");
-        let mut policy = ProposedPolicy::new(proposed_config_for(&config));
+        let mut policy = policy_for(&config, PolicyKind::Proposed);
         let report = Simulator::new(scenario)
             .with_green_controller(GreenController {
                 disable_arbitrage: disable,
             })
-            .run(&mut policy);
+            .run(&mut policy.as_mut());
         let totals = report.totals();
         let battery: f64 = report.hourly.iter().map(|h| h.battery_discharge_j).sum();
         rows.push(vec![

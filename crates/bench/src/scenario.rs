@@ -335,7 +335,8 @@ impl PolicyKind {
     }
 }
 
-/// Runs one policy over a fresh scenario built from `config`.
+/// Runs one policy over a fresh scenario built from `config`, with the
+/// policy [`policy_for`] builds.
 ///
 /// # Panics
 ///
@@ -343,21 +344,13 @@ impl PolicyKind {
 /// are static and must be correct.
 pub fn run_policy(config: &ScenarioConfig, kind: PolicyKind) -> SimulationReport {
     let scenario = Scenario::build(config).expect("harness scenario must be valid");
-    let simulator = Simulator::new(scenario);
-    match kind {
-        PolicyKind::Proposed => {
-            let mut policy = ProposedPolicy::new(proposed_config_for(config));
-            simulator.run(&mut policy)
-        }
-        PolicyKind::PriAware => simulator.run(&mut PriAwarePolicy::new()),
-        PolicyKind::EnerAware => simulator.run(&mut EnerAwarePolicy::new()),
-        PolicyKind::NetAware => simulator.run(&mut NetAwarePolicy::new()),
-    }
+    let mut policy = policy_for(config, kind);
+    Simulator::new(scenario).run(&mut policy.as_mut())
 }
 
-/// Builds the selected policy fresh over a configuration — the exact
-/// construction [`run_policy`] uses, boxed for stepper-level drivers
-/// (serve sessions, checkpoint/resume tests).
+/// Builds the selected policy fresh over a configuration — the one place
+/// each policy is constructed, for [`run_policy`] and for stepper-level
+/// drivers (serve sessions, checkpoint/resume tests).
 pub fn policy_for(
     config: &ScenarioConfig,
     kind: PolicyKind,
