@@ -115,16 +115,85 @@ struct Scratch {
     /// Arena indices sorted by VM id — every accumulation walks this
     /// order so floating-point sums are enumeration-invariant.
     order: Vec<u32>,
-    /// Far-field grid accumulators.
-    cell_count: Vec<u32>,
-    cell_sum_x: Vec<f64>,
-    cell_sum_y: Vec<f64>,
-    cell_of: Vec<u32>,
+    /// The far field over the current positions.
+    grid: Grid,
     /// Per-VM `(step_x, step_y, potential)` of one force pass: the
     /// clamped displacement and the VM's term of the Eq. 7 potential —
     /// filled by the parallel force workers (disjoint per-VM writes),
     /// applied and folded serially.
     steps: Vec<(f64, f64, f64)>,
+}
+
+/// The far-field grid over the current positions: per-cell population
+/// and position sums, and the cell of each VM.
+#[derive(Debug, Clone, Default)]
+struct Grid {
+    count: Vec<u32>,
+    sum_x: Vec<f64>,
+    sum_y: Vec<f64>,
+    cell_of: Vec<u32>,
+}
+
+impl Grid {
+    /// Buckets `points` into `dim²` cells over their bounding box, summing
+    /// in VM-id `order` for enumeration invariance.
+    fn fill(&mut self, dim: usize, points: &[Point], order: &[u32]) {
+        let (mut min_x, mut min_y) = (f64::MAX, f64::MAX);
+        let (mut max_x, mut max_y) = (f64::MIN, f64::MIN);
+        for p in points {
+            min_x = min_x.min(p.x);
+            min_y = min_y.min(p.y);
+            max_x = max_x.max(p.x);
+            max_y = max_y.max(p.y);
+        }
+        let span_x = (max_x - min_x).max(1e-9);
+        let span_y = (max_y - min_y).max(1e-9);
+        self.count.clear();
+        self.count.resize(dim * dim, 0);
+        self.sum_x.clear();
+        self.sum_x.resize(dim * dim, 0.0);
+        self.sum_y.clear();
+        self.sum_y.resize(dim * dim, 0.0);
+        self.cell_of.resize(points.len(), 0);
+        for &j in order {
+            let p = points[j as usize];
+            let cx = (((p.x - min_x) / span_x * dim as f64) as usize).min(dim - 1);
+            let cy = (((p.y - min_y) / span_y * dim as f64) as usize).min(dim - 1);
+            let cell = cy * dim + cx;
+            self.cell_of[j as usize] = cell as u32;
+            self.count[cell] += 1;
+            self.sum_x[cell] += p.x;
+            self.sum_y[cell] += p.y;
+        }
+    }
+
+    /// Far-field repulsion on VM `i` (id `id`, at `here`): a push from
+    /// each populated cell's centroid with weight `weight × count`, its
+    /// own contribution excluded from its home cell.
+    fn repulsion(&self, i: usize, id: VmId, here: Point, weight: f64, seed: u64) -> (f64, f64) {
+        let (mut fx, mut fy) = (0.0, 0.0);
+        for (cell, &count) in self.count.iter().enumerate() {
+            let (mut count, mut sum_x, mut sum_y) = (count, self.sum_x[cell], self.sum_y[cell]);
+            if self.cell_of[i] as usize == cell {
+                count -= 1;
+                sum_x -= here.x;
+                sum_y -= here.y;
+            }
+            if count == 0 {
+                continue;
+            }
+            let centroid = Point {
+                x: sum_x / f64::from(count),
+                y: sum_y / f64::from(count),
+            };
+            let f = weight * f64::from(count);
+            let tie = (u64::from(id.0) << 32) | cell as u64;
+            let (dx, dy, _) = direction(centroid, here, seed, tie);
+            fx += f * dx;
+            fy += f * dy;
+        }
+        (fx, fy)
+    }
 }
 
 /// The persistent force-directed layout.
@@ -245,102 +314,65 @@ impl ForceLayout {
         let alpha = self.config.alpha;
         let seed = self.seed;
         let baseline = f64::from(cpu_corr.baseline());
-        let far_field = baseline > 0.0;
-        let grid_dim = self.config.grid_dim.max(1);
-        let cells = grid_dim * grid_dim;
-        scratch.cell_count.resize(cells, 0);
-        scratch.cell_sum_x.resize(cells, 0.0);
-        scratch.cell_sum_y.resize(cells, 0.0);
-        scratch.cell_of.resize(n, 0);
+        let far_weight = (1.0 - alpha) * baseline;
         scratch.steps.clear();
         scratch.steps.resize(n, (0.0, 0.0, 0.0));
-
         let scale = displacement_scale(n);
         // P_{k−1} and CostAR_{k−1}.
         let mut prev_potential = 0.0;
         let mut prev_cost: Option<f64> = None;
         let mut moves = 0;
         while moves < self.config.max_iterations {
-            if far_field {
-                fill_grid(scratch, grid_dim);
+            if baseline > 0.0 {
+                let dim = self.config.grid_dim.max(1);
+                scratch.grid.fill(dim, &scratch.points, &scratch.order);
             }
             // Per-VM resultants and potential terms fan out across the
             // workers into the reusable steps scratch: a pure map over
             // the current positions and the frozen grid, so thread-count
             // invariant and allocation-free in steady state.
-            {
-                let Scratch {
-                    points,
-                    cell_count,
-                    cell_sum_x,
-                    cell_sum_y,
-                    cell_of,
-                    steps,
-                    ..
-                } = &mut *scratch;
-                let points = &*points;
-                let cell_count = &cell_count[..cells];
-                let cell_sum_x = &*cell_sum_x;
-                let cell_sum_y = &*cell_sum_y;
-                let cell_of = &*cell_of;
-                exec.map_mut(steps, |i, step| {
-                    let here = points[i];
-                    let id_i = ids[i];
-                    let mut fx = 0.0;
-                    let mut fy = 0.0;
-                    let mut potential = 0.0;
-                    // Far field: every VM repels from each populated
-                    // cell's centroid at the baseline correlation (own
-                    // contribution excluded from the home cell).
-                    if far_field {
-                        for (cell, &count) in cell_count.iter().enumerate() {
-                            let mut count = count;
-                            let mut sum_x = cell_sum_x[cell];
-                            let mut sum_y = cell_sum_y[cell];
-                            if cell_of[i] as usize == cell {
-                                count -= 1;
-                                sum_x -= here.x;
-                                sum_y -= here.y;
-                            }
-                            if count == 0 {
-                                continue;
-                            }
-                            let centroid = Point {
-                                x: sum_x / f64::from(count),
-                                y: sum_y / f64::from(count),
-                            };
-                            let f = (1.0 - alpha) * baseline * f64::from(count);
-                            let tie = (u64::from(id_i.0) << 32) | cell as u64;
-                            let (dx, dy, _) = direction(centroid, here, seed, tie);
-                            fx += f * dx;
-                            fy += f * dy;
-                        }
-                    }
-                    // Near field (Eq. 5 repulsion, weight (1−α)·Corr_cpu):
-                    // the row, in VM-id order, corrected for the baseline
-                    // the far field already applied to it.
-                    for &(j, w) in cpu_corr.neighbors(i) {
-                        let j = j as usize;
-                        let f = (1.0 - alpha) * (f64::from(w) - baseline);
-                        let (dx, dy, d) = direction(points[j], here, seed, pair_tie(id_i, ids[j]));
-                        fx += f * dx;
-                        fy += f * dy;
-                        potential += (1.0 - alpha) * f64::from(w) * d;
-                    }
-                    // Attraction only from communicating partners (rows
-                    // are id-sorted already).
-                    for edge in traffic.row(i) {
-                        let j = edge.target as usize;
-                        let f = alpha * traffic.attraction_in(edge);
-                        let (dx, dy, d) = direction(points[j], here, seed, pair_tie(id_i, ids[j]));
-                        fx += f * dx;
-                        fy += f * dy;
-                        potential += f * d;
-                    }
-                    let (step_x, step_y) = clamp_step(fx * scale, fy * scale);
-                    *step = (step_x, step_y, potential);
-                });
-            }
+            let Scratch {
+                points,
+                grid,
+                steps,
+                ..
+            } = &mut *scratch;
+            let (points, grid) = (&*points, &*grid);
+            exec.map_mut(steps, |i, step| {
+                let here = points[i];
+                let id_i = ids[i];
+                // Far field: the pairs outside both rows, at the baseline
+                // correlation.
+                let (mut fx, mut fy) = if baseline > 0.0 {
+                    grid.repulsion(i, id_i, here, far_weight, seed)
+                } else {
+                    (0.0, 0.0)
+                };
+                let mut potential = 0.0;
+                // Near field (Eq. 5 repulsion, weight (1−α)·Corr_cpu):
+                // the row, in VM-id order, corrected for the baseline
+                // the far field already applied to it.
+                for &(j, w) in cpu_corr.neighbors(i) {
+                    let j = j as usize;
+                    let f = (1.0 - alpha) * (f64::from(w) - baseline);
+                    let (dx, dy, d) = direction(points[j], here, seed, pair_tie(id_i, ids[j]));
+                    fx += f * dx;
+                    fy += f * dy;
+                    potential += (1.0 - alpha) * f64::from(w) * d;
+                }
+                // Attraction only from communicating partners (rows
+                // are id-sorted already).
+                for edge in traffic.row(i) {
+                    let j = edge.target as usize;
+                    let f = alpha * traffic.attraction_in(edge);
+                    let (dx, dy, d) = direction(points[j], here, seed, pair_tie(id_i, ids[j]));
+                    fx += f * dx;
+                    fy += f * dy;
+                    potential += f * d;
+                }
+                let (step_x, step_y) = clamp_step(fx * scale, fy * scale);
+                *step = (step_x, step_y, potential);
+            });
 
             // Eq. 7: the cost of move k is P_k − P_{k−1}; stop before
             // moving again once it falls.
@@ -370,35 +402,6 @@ impl ForceLayout {
             self.positions.insert(*vm, *point);
         }
         &self.scratch.points
-    }
-}
-
-/// Buckets the plane into the far-field grid: per-cell population count
-/// and position sum, filled in VM-id order for enumeration invariance.
-fn fill_grid(scratch: &mut Scratch, grid_dim: usize) {
-    let cells = grid_dim * grid_dim;
-    let (mut min_x, mut min_y) = (f64::MAX, f64::MAX);
-    let (mut max_x, mut max_y) = (f64::MIN, f64::MIN);
-    for p in &scratch.points {
-        min_x = min_x.min(p.x);
-        min_y = min_y.min(p.y);
-        max_x = max_x.max(p.x);
-        max_y = max_y.max(p.y);
-    }
-    let span_x = (max_x - min_x).max(1e-9);
-    let span_y = (max_y - min_y).max(1e-9);
-    scratch.cell_count[..cells].fill(0);
-    scratch.cell_sum_x[..cells].fill(0.0);
-    scratch.cell_sum_y[..cells].fill(0.0);
-    for &jj in &scratch.order {
-        let p = scratch.points[jj as usize];
-        let cx = (((p.x - min_x) / span_x * grid_dim as f64) as usize).min(grid_dim - 1);
-        let cy = (((p.y - min_y) / span_y * grid_dim as f64) as usize).min(grid_dim - 1);
-        let cell = cy * grid_dim + cx;
-        scratch.cell_of[jj as usize] = cell as u32;
-        scratch.cell_count[cell] += 1;
-        scratch.cell_sum_x[cell] += p.x;
-        scratch.cell_sum_y[cell] += p.y;
     }
 }
 
@@ -509,10 +512,13 @@ mod tests {
         assert_eq!(layout.position(vm0).unwrap().x, first[0].x);
     }
 
-    #[test]
-    fn data_correlated_pairs_end_up_closer_than_cpu_correlated() {
-        // Two synthetic pairs: (0,1) heavy traffic & anti-correlated CPU;
-        // (2,3) no traffic & perfectly coincident CPU peaks.
+    /// Two synthetic pairs: (0,1) heavy traffic & anti-correlated CPU;
+    /// (2,3) no traffic & perfectly coincident CPU peaks. Lays them out
+    /// for up to 200 iterations over the rows `cpu` builds and returns
+    /// the final distance within each pair.
+    fn talkers_and_peakers(
+        cpu: impl Fn(&UtilizationWindows) -> CpuCorrelationMatrix,
+    ) -> (f64, f64) {
         let ids = [VmId(0), VmId(1), VmId(2), VmId(3)];
         let windows = UtilizationWindows::from_rows(vec![
             (VmId(0), vec![0.9, 0.1, 0.1, 0.1]),
@@ -520,7 +526,6 @@ mod tests {
             (VmId(2), vec![0.9, 0.1, 0.1, 0.1]),
             (VmId(3), vec![0.9, 0.1, 0.1, 0.1]),
         ]);
-        let cpu = CpuCorrelationMatrix::compute(&windows);
         // Build traffic: only pair (0,1) communicates, heavily.
         let mut data = DataCorrelation::new(DataCorrelationConfig::default());
         let mut fleet_cfg = FleetConfig::default();
@@ -548,10 +553,21 @@ mod tests {
             7,
         );
         let points = layout
-            .update(&arena, &cpu, &traffic, Exec::serial())
+            .update(&arena, &cpu(&windows), &traffic, Exec::serial())
             .to_vec();
-        let talkers = points[0].distance(&points[1]);
-        let peakers = points[2].distance(&points[3]);
+        assert!(layout.last_iterations() >= 1);
+        for p in &points {
+            assert!(p.x.is_finite() && p.y.is_finite());
+        }
+        (
+            points[0].distance(&points[1]),
+            points[2].distance(&points[3]),
+        )
+    }
+
+    #[test]
+    fn data_correlated_pairs_end_up_closer_than_cpu_correlated() {
+        let (talkers, peakers) = talkers_and_peakers(CpuCorrelationMatrix::compute);
         assert!(
             talkers < peakers,
             "data-correlated pair ({talkers:.3}) should sit closer than \
@@ -643,32 +659,42 @@ mod tests {
 
     type Rows = Vec<(VmId, Vec<f32>)>;
 
-    /// Runs one dense update over `rows` presented in the given order and
-    /// returns the final position of every VM keyed by id.
-    fn dense_layout_of(rows: Rows, sparse: bool) -> Vec<(VmId, Point)> {
+    /// Screened rows of a small fleet: 4 neighbors from a 6-bucket screen.
+    fn screened(windows: &UtilizationWindows) -> CpuCorrelationMatrix {
+        CpuCorrelationMatrix::compute_sparse(
+            windows,
+            &SparsityConfig {
+                top_k: 4,
+                peak_buckets: 6,
+                candidates_per_vm: 12,
+                baseline_samples: 128,
+                ..SparsityConfig::default()
+            },
+        )
+    }
+
+    /// Runs one update on `exec` over `rows` (exact or screened
+    /// correlation rows) presented in the given order. Returns the final
+    /// position bits of every VM, sorted by id, and the iteration count.
+    fn layout_of(rows: Rows, sparse: bool, exec: Exec) -> (Vec<(VmId, u64, u64)>, usize) {
         let windows = UtilizationWindows::from_rows(rows);
         let cpu = if sparse {
-            CpuCorrelationMatrix::compute_sparse(
-                &windows,
-                &SparsityConfig {
-                    top_k: 4,
-                    peak_buckets: 6,
-                    candidates_per_vm: 12,
-                    baseline_samples: 128,
-                    ..SparsityConfig::default()
-                },
-            )
+            screened(&windows)
         } else {
             CpuCorrelationMatrix::compute(&windows)
         };
         let data = DataCorrelation::new(DataCorrelationConfig::default());
-        let arena = VmArena::from_ids(windows.ids());
-        let traffic = data.traffic_graph(&arena);
+        let (arena, traffic) = graph_for(&windows, &data);
         let mut layout = ForceLayout::new(ForceLayoutConfig::default(), 11);
-        let points = layout
-            .update(&arena, &cpu, &traffic, Exec::serial())
-            .to_vec();
-        windows.ids().iter().copied().zip(points).collect()
+        let points = layout.update(&arena, &cpu, &traffic, exec);
+        let mut bits: Vec<(VmId, u64, u64)> = windows
+            .ids()
+            .iter()
+            .zip(points)
+            .map(|(&vm, p)| (vm, p.x.to_bits(), p.y.to_bits()))
+            .collect();
+        bits.sort_unstable();
+        (bits, layout.last_iterations())
     }
 
     fn permuted_rows() -> (Rows, Rows) {
@@ -693,75 +719,36 @@ mod tests {
         // *identical* layout: ties in `direction()` break on VM ids, and
         // all force sums run in VM-id order.
         let (rows, shuffled) = permuted_rows();
-        let mut a = dense_layout_of(rows, false);
-        let mut b = dense_layout_of(shuffled, false);
-        a.sort_by_key(|&(vm, _)| vm);
-        b.sort_by_key(|&(vm, _)| vm);
-        assert_eq!(a.len(), b.len());
-        for ((vm_a, p_a), (vm_b, p_b)) in a.iter().zip(b.iter()) {
-            assert_eq!(vm_a, vm_b);
-            assert_eq!((p_a.x, p_a.y), (p_b.x, p_b.y), "{vm_a} moved");
-        }
+        assert_eq!(
+            layout_of(rows, false, Exec::serial()),
+            layout_of(shuffled, false, Exec::serial())
+        );
     }
 
     #[test]
     fn layout_is_permutation_invariant_sparse() {
         let (rows, shuffled) = permuted_rows();
-        let mut a = dense_layout_of(rows, true);
-        let mut b = dense_layout_of(shuffled, true);
-        a.sort_by_key(|&(vm, _)| vm);
-        b.sort_by_key(|&(vm, _)| vm);
-        for ((vm_a, p_a), (vm_b, p_b)) in a.iter().zip(b.iter()) {
-            assert_eq!(vm_a, vm_b);
-            assert_eq!((p_a.x, p_a.y), (p_b.x, p_b.y), "{vm_a} moved");
-        }
+        assert_eq!(
+            layout_of(rows, true, Exec::serial()),
+            layout_of(shuffled, true, Exec::serial())
+        );
     }
 
     #[test]
     fn layout_is_thread_count_invariant() {
         use geoplace_types::Parallelism;
-        // Bit-identical final positions at every thread count, dense and
-        // sparse — the executor contract applied to the layout.
+        // Bit-identical final positions and iteration counts at every
+        // thread count, over exact and screened rows — the executor
+        // contract applied to the layout.
         let (rows, _) = permuted_rows();
         for sparse in [false, true] {
-            let run = |threads: usize| {
-                let windows = UtilizationWindows::from_rows(rows.clone());
-                let cpu = if sparse {
-                    CpuCorrelationMatrix::compute_sparse(
-                        &windows,
-                        &SparsityConfig {
-                            top_k: 4,
-                            peak_buckets: 6,
-                            candidates_per_vm: 12,
-                            baseline_samples: 128,
-                            ..SparsityConfig::default()
-                        },
-                    )
-                } else {
-                    CpuCorrelationMatrix::compute(&windows)
-                };
-                let data = DataCorrelation::new(DataCorrelationConfig::default());
-                let arena = VmArena::from_ids(windows.ids());
-                let traffic = data.traffic_graph(&arena);
-                let mut layout = ForceLayout::new(ForceLayoutConfig::default(), 11);
+            let run = |threads| {
                 let exec = Exec::new(Parallelism::Threads(threads));
-                let points = layout.update(&arena, &cpu, &traffic, exec).to_vec();
-                (points, layout.last_iterations())
+                layout_of(rows.clone(), sparse, exec)
             };
-            let (reference, reference_iterations) = run(1);
+            let reference = run(1);
             for threads in [2usize, 3, 8] {
-                let (points, iterations) = run(threads);
-                assert_eq!(
-                    iterations, reference_iterations,
-                    "sparse={sparse} t={threads}"
-                );
-                for (p, q) in points.iter().zip(reference.iter()) {
-                    assert_eq!(
-                        (p.x.to_bits(), p.y.to_bits()),
-                        (q.x.to_bits(), q.y.to_bits()),
-                        "sparse={sparse} t={threads}"
-                    );
-                }
+                assert_eq!(run(threads), reference, "sparse={sparse} t={threads}");
             }
         }
     }
@@ -770,7 +757,7 @@ mod tests {
     /// slots 0–2), with exact or screened correlation rows: an FNV-1a
     /// hash of every returned position's bits, and the iteration count
     /// of each update.
-    fn layout_bits(screened: bool, alpha: f64) -> (u64, Vec<usize>) {
+    fn layout_bits(sparse: bool, alpha: f64) -> (u64, Vec<usize>) {
         let fleet = fleet();
         let config = ForceLayoutConfig {
             alpha,
@@ -781,17 +768,8 @@ mod tests {
         let mut iterations = Vec::new();
         for slot in 0..3 {
             let windows = fleet.windows(TimeSlot(slot));
-            let cpu = if screened {
-                CpuCorrelationMatrix::compute_sparse(
-                    &windows,
-                    &SparsityConfig {
-                        top_k: 4,
-                        peak_buckets: 6,
-                        candidates_per_vm: 12,
-                        baseline_samples: 128,
-                        ..SparsityConfig::default()
-                    },
-                )
+            let cpu = if sparse {
+                screened(&windows)
             } else {
                 CpuCorrelationMatrix::compute(&windows)
             };
@@ -831,69 +809,35 @@ mod tests {
 
     #[test]
     fn sparse_path_separates_talkers_from_strangers() {
-        // Same qualitative behavior as the dense path: heavy talkers pull
-        // together, coincident peakers push apart.
-        let vm_ids = [VmId(0), VmId(1), VmId(2), VmId(3)];
-        let windows = UtilizationWindows::from_rows(vec![
-            (VmId(0), vec![0.9, 0.1, 0.1, 0.1]),
-            (VmId(1), vec![0.1, 0.1, 0.1, 0.9]),
-            (VmId(2), vec![0.9, 0.1, 0.1, 0.1]),
-            (VmId(3), vec![0.9, 0.1, 0.1, 0.1]),
-        ]);
-        let cpu = CpuCorrelationMatrix::compute_sparse(
-            &windows,
-            &SparsityConfig {
-                top_k: 3,
-                peak_buckets: 4,
-                candidates_per_vm: 8,
-                baseline_samples: 64,
-                ..SparsityConfig::default()
-            },
-        );
-        let mut data = DataCorrelation::new(DataCorrelationConfig::default());
-        let mut fleet_cfg = FleetConfig::default();
-        fleet_cfg.arrivals.initial_groups = 2;
-        fleet_cfg.arrivals.group_size_range = (2, 2);
-        fleet_cfg.arrivals.seed = 9;
-        let fleet = VmFleet::new(fleet_cfg).unwrap();
-        let specs: Vec<_> = vm_ids
-            .iter()
-            .map(|&id| fleet.vm(id).unwrap().clone())
-            .collect();
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
-        data.connect_arrivals(&specs[..2], &specs[..2], &mut rng);
-        let arena = VmArena::from_ids(&vm_ids);
-        let traffic = data.traffic_graph(&arena);
-        let mut layout = ForceLayout::new(
-            ForceLayoutConfig {
-                max_iterations: 200,
-                ..ForceLayoutConfig::default()
-            },
-            7,
-        );
-        let points = layout
-            .update(&arena, &cpu, &traffic, Exec::serial())
-            .to_vec();
-        assert!(layout.last_iterations() >= 1);
-        let talkers = points[0].distance(&points[1]);
-        let peakers = points[2].distance(&points[3]);
+        // Same qualitative behavior over screened rows as over exact
+        // ones: heavy talkers pull together, coincident peakers push
+        // apart.
+        let (talkers, peakers) = talkers_and_peakers(|windows| {
+            CpuCorrelationMatrix::compute_sparse(
+                windows,
+                &SparsityConfig {
+                    top_k: 3,
+                    peak_buckets: 4,
+                    candidates_per_vm: 8,
+                    baseline_samples: 64,
+                    ..SparsityConfig::default()
+                },
+            )
+        });
         assert!(
             talkers < peakers,
-            "sparse path: talkers {talkers:.3} vs peakers {peakers:.3}"
+            "screened rows: talkers {talkers:.3} vs peakers {peakers:.3}"
         );
-        for p in &points {
-            assert!(p.x.is_finite() && p.y.is_finite());
-        }
     }
 
     #[test]
     fn sparse_and_dense_agree_on_single_step_forces() {
-        // With full candidate coverage and top-k ≥ n the sparse path's
-        // near field holds every pair exactly; only the far-field grid
-        // term differs from the dense sum (cell centroids stand in for
-        // individual points at the baseline weight). Over one iteration
-        // from the same scattered start, the resulting displacements must
-        // agree closely. (Full runs diverge by design — the Eq. 7
+        // With full candidate coverage and top-k ≥ n the screened rows
+        // hold every pair exactly; only the far-field grid term differs
+        // from the exact sum (cell centroids stand in for individual
+        // points at the baseline weight, which the near field subtracts
+        // again). Over one iteration from the same scattered start, the
+        // resulting displacements must agree closely. (Full runs diverge by design — the Eq. 7
         // stopping rule reacts to tiny cost differences — and end-to-end
         // agreement is asserted on report totals in the integration
         // tests.)

@@ -110,8 +110,8 @@ impl CpuCorrelationMatrix {
         let n = windows.len();
         let ids = windows.ids().to_vec();
         let peaks: Vec<f32> = (0..n).map(|i| peak_of(windows.row_at(i))).collect();
-        // Upper-triangular row tails per chunk; the symmetric scatter is
-        // a cheap serial pass (no window scans).
+        // Upper-triangular row tails per chunk; filling both rows of each
+        // pair is a cheap serial pass (no window scans).
         let peaks_ref = &peaks;
         let tails: Vec<Vec<f32>> = exec
             .map_chunks(n, |range| {
@@ -126,24 +126,25 @@ impl CpuCorrelationMatrix {
             .into_iter()
             .flatten()
             .collect();
-        // Row i holds every other VM in VM-id order, so VM j sits at
-        // j's rank in that order, less one past i's own rank.
-        let mut rank = vec![0usize; n];
+        // Row i lists every other VM in VM-id order.
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_unstable_by_key(|&i| ids[i]);
-        for (r, &i) in order.iter().enumerate() {
-            rank[i] = r;
-        }
-        let row_len = n.saturating_sub(1);
-        let entry = |i: usize, j: usize| i * row_len + rank[j] - usize::from(rank[j] > rank[i]);
-        let mut neighbors = vec![(0u32, 0.0f32); n * row_len];
-        for (i, tail) in tails.iter().enumerate() {
-            for (offset, &w) in tail.iter().enumerate() {
-                let j = i + 1 + offset;
-                neighbors[entry(i, j)] = (j as u32, w);
-                neighbors[entry(j, i)] = (i as u32, w);
+        order.sort_unstable_by_key(|&j| ids[j]);
+        let order = &order;
+        let weight = |i: usize, j: usize| {
+            if i < j {
+                tails[i][j - i - 1]
+            } else {
+                tails[j][i - j - 1]
             }
-        }
+        };
+        let row_len = n.saturating_sub(1);
+        let mut neighbors = Vec::with_capacity(n * row_len);
+        neighbors.extend((0..n).flat_map(|i| {
+            order
+                .iter()
+                .filter(move |&&j| j != i)
+                .map(move |&j| (j as u32, weight(i, j)))
+        }));
         CpuCorrelationMatrix {
             ids,
             offsets: (0..=n).map(|i| (i * row_len) as u32).collect(),
@@ -182,8 +183,8 @@ impl CpuCorrelationMatrix {
     /// baseline 1.0. Consumers that would re-derive a
     /// matrix from the observation windows (the Pearson ablation) check
     /// this instead — no metric is computable from a zero observation,
-    /// and recomputing over it would reintroduce the representation
-    /// dependence the canonical matrix removes.
+    /// and recomputing over it would reintroduce the builder dependence
+    /// the canonical matrix removes.
     pub fn is_degenerate(&self) -> bool {
         self.neighbors.is_empty() && self.baseline == 1.0
     }
@@ -654,18 +655,13 @@ mod tests {
         // value.
         let mut rows = phased_rows(13, 48);
         for (k, (id, _)) in rows.iter_mut().enumerate() {
-            *id = VmId(((k * 7) % 13) as u32 * 3 + 1);
+            *id = VmId(((k * 7) % 13) as u32 * 3 + 1); // ids out of row order
         }
-        rows.reverse();
-        rows.swap(2, 9);
         let windows = UtilizationWindows::from_rows(rows);
         let m = CpuCorrelationMatrix::compute(&windows);
-        let n = m.len();
-        let ids = m.ids();
-        assert_eq!(m.baseline(), 0.0);
-        assert_eq!(m.sparsity(), None);
-        assert!(!m.is_sparse());
-        assert_eq!(m.edge_count(), n * (n - 1));
+        let (n, ids) = (m.len(), m.ids());
+        assert_eq!((m.baseline(), m.sparsity()), (0.0, None));
+        assert!(!m.is_sparse() && m.edge_count() == n * (n - 1));
         for i in 0..n {
             let mut others: Vec<usize> = (0..n).filter(|&j| j != i).collect();
             others.sort_unstable_by_key(|&j| ids[j]);
@@ -812,7 +808,7 @@ mod tests {
         assert!(pearson(&phase, &same) > pearson(&phase, &anti));
     }
 
-    // --- sparse representation ---
+    // --- screened rows ---
 
     fn phased_rows(n: u32, width: usize) -> Vec<(VmId, Vec<f32>)> {
         (0..n)
