@@ -398,22 +398,12 @@ pub fn quick_matrix_config(spec: &WorldSpec, seed: u64) -> ScenarioConfig {
     spec.apply(base)
 }
 
-/// Horizon (slots) of the screened tier's paper-scale cell.
-pub const SCREENED_PAPER_SLOTS: u32 = 3;
-
-/// Seed of the screened tier's paper-scale cell.
-pub const SCREENED_PAPER_SEED: u64 = 42;
-
-/// World label of the screened tier's paper-scale cell (the `paper`
-/// preset at [`Scale::Paper`]).
-pub const SCREENED_PAPER_WORLD: &str = "paper_scale";
-
 /// One cell of the screened digest tier: Proposed over a world whose
 /// correlation rows come from the top-k screen and whose layout runs the
 /// far-field grid.
 #[derive(Debug, Clone)]
 pub struct ScreenedCell {
-    /// The row's world label: a preset name, or [`SCREENED_PAPER_WORLD`].
+    /// The row's world label: a preset name, or `paper_scale`.
     pub world: &'static str,
     /// The row's seed.
     pub seed: u64,
@@ -423,11 +413,10 @@ pub struct ScreenedCell {
 
 /// The screened tier's cells over `specs` and `seeds`, in registry
 /// order: each preset's quick-matrix cell with `dense_crossover = 0`,
-/// then the `paper` preset at [`Scale::Paper`] for
-/// [`SCREENED_PAPER_SLOTS`] slots when `specs` holds `paper` and
-/// `seeds` holds [`SCREENED_PAPER_SEED`]. Only Proposed reads the
-/// correlation graph, so the tier runs Proposed alone: a baseline row
-/// would repeat `digests.tsv`.
+/// then, when `specs` holds `paper` and `seeds` holds 42, the
+/// `paper_scale` cell — the `paper` preset at [`Scale::Paper`], seed 42,
+/// for 3 slots. Only Proposed reads the correlation graph, so the tier
+/// runs Proposed alone: a baseline row would repeat `digests.tsv`.
 pub fn screened_cells(specs: &[WorldSpec], seeds: &[u64]) -> Vec<ScreenedCell> {
     let mut cells = Vec::new();
     for spec in specs {
@@ -442,12 +431,12 @@ pub fn screened_cells(specs: &[WorldSpec], seeds: &[u64]) -> Vec<ScreenedCell> {
         }
     }
     if let Some(paper) = specs.iter().find(|spec| spec.name == "paper") {
-        if seeds.contains(&SCREENED_PAPER_SEED) {
-            let mut config = paper.apply(Scale::Paper.config(SCREENED_PAPER_SEED));
-            config.horizon_slots = SCREENED_PAPER_SLOTS;
+        if seeds.contains(&42) {
+            let mut config = paper.apply(Scale::Paper.config(42));
+            config.horizon_slots = 3;
             cells.push(ScreenedCell {
-                world: SCREENED_PAPER_WORLD,
-                seed: SCREENED_PAPER_SEED,
+                world: "paper_scale",
+                seed: 42,
                 config,
             });
         }

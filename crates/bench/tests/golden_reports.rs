@@ -8,9 +8,9 @@
 //!   its correlation rows are exact.
 //! * `tests/golden/digests_screened.tsv` — the screened tier
 //!   ([`screened_cells`]): Proposed on the same cells with
-//!   `dense_crossover = 0`, plus the paper world at full scale for
-//!   [`SCREENED_PAPER_SLOTS`] slots. It pins the top-k screen, the
-//!   far-field baseline and the layout's grid far field.
+//!   `dense_crossover = 0`, plus the paper world at full scale for 3
+//!   slots. It pins the top-k screen, the far-field baseline and the
+//!   layout's grid far field.
 //!
 //! These tests recompute the seed-42 rows of both files and fail on any
 //! drift; the CI `scenario_matrix --quick --check` job re-verifies both
@@ -29,24 +29,9 @@
 
 use geoplace_bench::scenario::{
     golden_digests_path, golden_row, parse_golden_file, quick_matrix_config, run_policy,
-    screened_cells, screened_digests_path, PolicyKind, QUICK_MATRIX_SEEDS, SCREENED_PAPER_SLOTS,
+    screened_cells, screened_digests_path, PolicyKind, QUICK_MATRIX_SEEDS,
 };
 use std::path::Path;
-
-/// Recomputes the digest rows for the given seeds, in registry order.
-fn compute_rows(seeds: &[u64]) -> Vec<String> {
-    let mut rows = Vec::new();
-    for spec in geoplace_scenarios::registry() {
-        for &seed in seeds {
-            let config = quick_matrix_config(&spec, seed);
-            for policy in PolicyKind::ALL {
-                let digest = run_policy(&config, policy).digest();
-                rows.push(golden_row(spec.name, policy, seed, &digest));
-            }
-        }
-    }
-    rows
-}
 
 /// Reads the committed golden file at `path`, asserts it holds
 /// `expected_cells` rows, and asserts every recomputed row matches it.
@@ -92,21 +77,25 @@ fn assert_matches_committed(path: &Path, expected_cells: usize, rows: Vec<String
 
 #[test]
 fn golden_digests_match_the_committed_matrix() {
-    let expected_cells =
-        geoplace_scenarios::registry().len() * PolicyKind::ALL.len() * QUICK_MATRIX_SEEDS.len();
+    let registry = geoplace_scenarios::registry();
+    let expected_cells = registry.len() * PolicyKind::ALL.len() * QUICK_MATRIX_SEEDS.len();
     // Tier-1 recomputes the seed-42 slice; CI covers the rest.
-    assert_matches_committed(&golden_digests_path(), expected_cells, compute_rows(&[42]));
+    let mut rows = Vec::new();
+    for spec in &registry {
+        let config = quick_matrix_config(spec, 42);
+        for policy in PolicyKind::ALL {
+            let digest = run_policy(&config, policy).digest();
+            rows.push(golden_row(spec.name, policy, 42, &digest));
+        }
+    }
+    assert_matches_committed(&golden_digests_path(), expected_cells, rows);
 }
 
 #[test]
 fn screened_digests_match_the_committed_tier() {
     let registry = geoplace_scenarios::registry();
-    let expected_cells = screened_cells(&registry, &QUICK_MATRIX_SEEDS).len();
-    assert_eq!(
-        expected_cells,
-        registry.len() * QUICK_MATRIX_SEEDS.len() + 1,
-        "every preset per seed, plus one {SCREENED_PAPER_SLOTS}-slot paper-scale cell"
-    );
+    // Every preset per seed, plus the paper-scale cell.
+    let expected_cells = registry.len() * QUICK_MATRIX_SEEDS.len() + 1;
     let rows = screened_cells(&registry, &[42])
         .into_iter()
         .map(|cell| {

@@ -38,6 +38,17 @@ fn ok(response: &Response) -> Result<Value, String> {
     Ok(value)
 }
 
+/// Shuts `session` down and returns its final report digest.
+fn shutdown_digest(session: &mut Session) -> Result<String, String> {
+    let response = session.handle_line(r#"{"cmd":"shutdown"}"#);
+    assert!(response.shutdown);
+    Ok(ok(&response)?
+        .get("digest")
+        .and_then(Value::as_str)
+        .ok_or("no digest in shutdown response")?
+        .to_owned())
+}
+
 /// Lines that used to (or plausibly could) kill the process. Each must
 /// come back as a structured error, not a panic.
 fn hostile_lines() -> Vec<String> {
@@ -153,13 +164,7 @@ fn mid_outage_sessions_answer_with_structure_not_panics() -> Result<(), String> 
             "decide mid-outage must return the usual structured record"
         );
     }
-    let response = session.handle_line(r#"{"cmd":"shutdown"}"#);
-    assert!(response.shutdown);
-    let digest = ok(&response)?
-        .get("digest")
-        .and_then(Value::as_str)
-        .ok_or("no digest in shutdown response")?
-        .to_owned();
+    let digest = shutdown_digest(&mut session)?;
     assert_eq!(digest, expected, "mid-outage hostility perturbed the run");
     Ok(())
 }
@@ -239,13 +244,7 @@ fn garbage_snapshot_bytes_never_kill_the_session() -> Result<(), String> {
         ok(&session.handle_line(r#"{"cmd":"advance"}"#))?;
         ok(&session.handle_line(r#"{"cmd":"decide"}"#))?;
     }
-    let response = session.handle_line(r#"{"cmd":"shutdown"}"#);
-    assert!(response.shutdown);
-    let digest = ok(&response)?
-        .get("digest")
-        .and_then(Value::as_str)
-        .ok_or("no digest in shutdown response")?
-        .to_owned();
+    let digest = shutdown_digest(&mut session)?;
     assert_eq!(digest, expected, "garbage restores perturbed the run");
     Ok(())
 }
@@ -269,13 +268,7 @@ fn hostile_interleaving_leaves_the_digest_untouched() -> Result<(), String> {
         }
         ok(&session.handle_line(r#"{"cmd":"decide"}"#))?;
     }
-    let response = session.handle_line(r#"{"cmd":"shutdown"}"#);
-    assert!(response.shutdown);
-    let digest = ok(&response)?
-        .get("digest")
-        .and_then(Value::as_str)
-        .ok_or("no digest in shutdown response")?
-        .to_owned();
+    let digest = shutdown_digest(&mut session)?;
     assert_eq!(
         digest, expected,
         "hostile input perturbed the simulation digest"
@@ -301,23 +294,14 @@ fn another_traces_checkpoint_is_refused() -> Result<(), String> {
     let trace_b = parse_trace(&format!(
         "{TRACE_HEADER}\n1,5,4.0,8,web,11,,,\n2,6,2.0,8,batch,12,5,6.5,1.5\n"
     ))?;
-    let finish = |session: &mut Session| -> Result<String, String> {
-        while ok(&session.handle_line(r#"{"cmd":"get_state"}"#))?
-            .get("done")
-            .and_then(Value::as_bool)
-            == Some(false)
-        {
+    let finish = |mut session: Session| -> Result<String, String> {
+        for _ in 0..config.horizon_slots {
             ok(&session.handle_line(r#"{"cmd":"advance"}"#))?;
             ok(&session.handle_line(r#"{"cmd":"decide"}"#))?;
         }
-        let response = session.handle_line(r#"{"cmd":"shutdown"}"#);
-        Ok(ok(&response)?
-            .get("digest")
-            .and_then(Value::as_str)
-            .ok_or("no digest in shutdown response")?
-            .to_owned())
+        shutdown_digest(&mut session)
     };
-    let expected = finish(&mut Session::with_trace(
+    let expected = finish(Session::with_trace(
         &config,
         PolicyKind::Proposed,
         trace_b.clone(),
@@ -343,7 +327,7 @@ fn another_traces_checkpoint_is_refused() -> Result<(), String> {
         "the refusal must say the checkpoint replays another trace: {message}"
     );
     assert_eq!(
-        finish(&mut session_b)?,
+        finish(session_b)?,
         expected,
         "the refused restore perturbed the session"
     );
