@@ -120,8 +120,10 @@ impl SlotStepper {
         // the canonical degenerate matrix (all pairs fully correlated,
         // no retained edges) is what every metric computes over zero
         // windows, and — unlike an actual compute — it is identical
-        // under the dense and the sparse pipeline configuration, so
-        // the bootstrap decision does not depend on the representation.
+        // whichever builder the crossover selects, so the bootstrap
+        // decision does not depend on it. Last slot's matrix goes first,
+        // so the two never coexist.
+        self.cpu_corr = None;
         self.cpu_corr = Some(if slot_index == 0 {
             CpuCorrelationMatrix::degenerate(
                 self.scratch.observed.ids(),

@@ -145,9 +145,10 @@ impl CpuCorrelationMatrix {
                 .filter(move |&&j| j != i)
                 .map(move |&j| (j as u32, weight(i, j)))
         }));
+        let offset = |i: usize| u32::try_from(i * row_len).expect("exact rows exceed u32 offsets");
         CpuCorrelationMatrix {
             ids,
-            offsets: (0..=n).map(|i| (i * row_len) as u32).collect(),
+            offsets: (0..=n).map(offset).collect(),
             neighbors,
             baseline: 0.0,
             sparsity: None,
