@@ -25,7 +25,7 @@
 //! the initial position for the next time slot", which also warm-starts
 //! the modified k-means.
 //!
-//! # One loop over one correlation graph
+//! # The iteration
 //!
 //! The layout operates SoA on [`VmArena`]-indexed slices with scratch
 //! buffers reused across updates. It reads the CPU-correlation graph

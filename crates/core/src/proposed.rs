@@ -163,13 +163,13 @@ impl GlobalPolicy for ProposedPolicy {
                 // computable from it, so both ablation arms share the
                 // canonical degenerate matrix — recomputing Pearson over
                 // zero windows would hand the layout a structurally
-                // different (and representation-dependent) input.
+                // different (and builder-dependent) input.
                 self.layout
                     .update(snapshot.arena, snapshot.cpu_corr, snapshot.traffic, exec)
             }
             CorrelationMetric::Pearson => {
-                // Mirror the engine's dense/sparse choice so the ablation
-                // compares metrics, not representations.
+                // Mirror the engine's exact/screened choice so the
+                // ablation compares metrics, not builders.
                 let pearson = match snapshot.cpu_corr.sparsity() {
                     Some(sparsity) => CpuCorrelationMatrix::compute_sparse_exec(
                         snapshot.windows,
@@ -389,7 +389,7 @@ mod tests {
     fn pearson_ablation_shares_the_bootstrap_matrix() {
         // Slot 0 hands the policy the canonical degenerate matrix; the
         // Pearson arm must consume it as-is instead of recomputing over
-        // the zero observation (which would reintroduce representation
+        // the zero observation (which would reintroduce builder
         // dependence). End-to-end: the ablation variant runs through the
         // engine bootstrap, and at slot 0 both metric arms make the same
         // decision — zero information admits no metric difference.

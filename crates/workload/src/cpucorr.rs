@@ -15,7 +15,7 @@
 //! anti-coincident. A classic Pearson correlation is also provided for
 //! comparison and testing.
 //!
-//! # One representation: correlation rows
+//! # Correlation rows
 //!
 //! The matrix is a CSR graph: row `i` lists `(neighbor, weight)` pairs
 //! sorted by neighbor VM id, and every pair outside both rows reads as
@@ -181,11 +181,11 @@ impl CpuCorrelationMatrix {
 
     /// True for the canonical bootstrap matrix of
     /// [`CpuCorrelationMatrix::degenerate`]: empty rows with the no-load
-    /// baseline 1.0. Consumers that would re-derive a
-    /// matrix from the observation windows (the Pearson ablation) check
-    /// this instead — no metric is computable from a zero observation,
-    /// and recomputing over it would reintroduce the builder dependence
-    /// the canonical matrix removes.
+    /// baseline 1.0. Consumers that would re-derive a matrix from the
+    /// observation windows (the Pearson ablation) check this instead — no
+    /// metric is computable from a zero observation, and recomputing over
+    /// it would reintroduce the builder dependence the canonical matrix
+    /// removes.
     pub fn is_degenerate(&self) -> bool {
         self.neighbors.is_empty() && self.baseline == 1.0
     }

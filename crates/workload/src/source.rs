@@ -235,8 +235,6 @@ impl geoplace_types::snap::Snapshot for TraceSource {
         }
     }
 
-    /// # Errors
-    ///
     /// Refuses a checkpoint of another trace: its cursor and id map
     /// would point into rows this replayer does not hold.
     fn restore_state(&mut self, r: &mut geoplace_types::snap::SnapReader<'_>) -> Result<()> {

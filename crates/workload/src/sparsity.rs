@@ -1,29 +1,31 @@
-//! Tuning of the sparse slot pipeline.
+//! Tuning of the screened correlation rows.
 //!
 //! The paper's global phase is pairwise at heart: CPU-load repulsion and
 //! data-correlation attraction are defined over *every* VM pair (Eq. 5).
-//! Materializing them densely is O(n²) per slot and intractable at the
+//! Evaluating every pair is O(n²) per slot and intractable at the
 //! production-scale fleets the roadmap targets. Real correlation
 //! structure, however, is sparse — most VM pairs neither communicate nor
-//! peak-coincide meaningfully — so above a crossover size the pipeline
-//! switches to top-k neighbor graphs plus a far-field approximation.
+//! peak-coincide meaningfully — so from a crossover size on, the
+//! per-slot [`crate::cpucorr::CpuCorrelationMatrix`] keeps screened
+//! top-k rows plus a far-field baseline instead of complete exact rows.
 //!
 //! [`SparsityConfig`] is the single knob bundle: the engine uses it to
-//! pick the per-slot [`crate::cpucorr::CpuCorrelationMatrix`]
-//! representation, and the force layout follows whatever representation
-//! it is handed.
+//! pick the builder and to tune the screen. Both builders fill the same
+//! CSR rows, and the force layout runs one loop over whichever it is
+//! handed: its grid far field switches on with a positive baseline.
 
 use serde::{Deserialize, Serialize};
 
-/// Knobs of the sparse approximation.
+/// Knobs of the screened correlation rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SparsityConfig {
-    /// Neighbors retained per VM in the sparse CPU-correlation graph.
+    /// Neighbors retained per VM in screened CPU-correlation rows.
     pub top_k: usize,
-    /// Fleet size from which the pipeline goes sparse: dense below it,
-    /// sparse at or above it. `usize::MAX` forces the exact dense
-    /// matrices (exactness tests), `0` the sparse top-k graphs
-    /// (agreement tests at small fleet sizes).
+    /// Fleet size from which correlation rows are screened: complete
+    /// exact rows below it, screened top-k rows at or above it.
+    /// `usize::MAX` forces exact rows (exactness tests), `0` screened
+    /// rows (agreement tests and the screened digest tier at small fleet
+    /// sizes).
     pub dense_crossover: usize,
     /// Resolution of the peak-time candidate screen: VMs are bucketed by
     /// the tick of their window peak; top-k candidates are drawn from the
@@ -49,8 +51,8 @@ impl Default for SparsityConfig {
 }
 
 impl SparsityConfig {
-    /// True when a fleet of `n` VMs should use the sparse representation
-    /// under this configuration.
+    /// True when a fleet of `n` VMs should get screened rows under this
+    /// configuration.
     pub fn use_sparse(&self, n: usize) -> bool {
         n >= self.dense_crossover
     }
