@@ -487,14 +487,9 @@ impl Session {
             u32::try_from(lifetime_slots).map_err(|_| "lifetime_slots out of range".to_string())?;
         let kind = match request.get("profile").map(|v| v.as_str()) {
             None => TraceKind::WebServing,
-            Some(Some("web")) => TraceKind::WebServing,
-            Some(Some("batch")) => TraceKind::Batch,
-            Some(Some("hpc")) => TraceKind::Hpc,
-            Some(other) => {
-                return Err(format!(
-                    "profile must be \"web\", \"batch\" or \"hpc\", got {other:?}"
-                ))
-            }
+            Some(name) => name.and_then(TraceKind::from_name).ok_or_else(|| {
+                format!("profile must be \"web\", \"batch\" or \"hpc\", got {name:?}")
+            })?,
         };
         let id = {
             let fresh = self.stepper.scenario().fleet.fresh_vm_id().0;

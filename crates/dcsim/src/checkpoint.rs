@@ -10,8 +10,9 @@
 //!   verifies the name and replays the payload, so a stateful policy
 //!   (the paper's force-layout warm start) resumes bit-identically;
 //! * **file I/O** — [`write_file`] / [`read_file`] move encoded
-//!   checkpoints to and from disk, and [`run_with_checkpoints`] is the
-//!   batch loop that drops a `.gpck` file every N completed slots.
+//!   checkpoints to and from disk under [`checkpoint_path`]'s names.
+//!   The loop that drops a `.gpck` file every N completed slots is the
+//!   serve session's (`geoplace-serve --checkpoint-every N`).
 //!
 //! This is the **only** module in the engine crates allowed to touch
 //! `std::fs` (audit rule D3): everything below it speaks `&[u8]`, so the
@@ -24,15 +25,16 @@
 //!   re-running the tail reproduces the uninterrupted run's report — and
 //!   its per-slot [`state_hash`](crate::stepper::SlotMetrics::state_hash)
 //!   stream — bit for bit, at any thread count.
+//! * The header's state hash is [`SlotStepper::state_hash`] at the
+//!   boundary: FNV-1a over the slot and the bytes of the `stepper`,
+//!   `assignment`, `fleet` and `dcs` sections that follow it.
 //! * `decode(encode(ck))` then `encode` again is byte-identical.
 //! * Every decode error names the offending section and byte offset.
 
-use crate::metrics::SimulationReport;
 use crate::policy::GlobalPolicy;
 use crate::stepper::SlotStepper;
 use geoplace_types::snap::{Checkpoint, SnapWriter};
 use geoplace_types::{Error, Result};
-use geoplace_workload::source::DeltaSource;
 use std::path::{Path, PathBuf};
 
 /// Snapshots the stepper *and* the policy driving it.
@@ -140,55 +142,12 @@ pub fn read_file(path: &Path) -> Result<Checkpoint> {
     Checkpoint::decode(&bytes)
 }
 
-/// Runs `stepper` to completion under `policy`, writing a checkpoint
-/// file into `dir` after every `every` completed slots (and never after
-/// the final slot — the report itself is the terminal artifact).
-///
-/// The file name is [`checkpoint_path`]`(dir, next_slot)` where
-/// `next_slot` is the boundary the checkpoint resumes *into*, so
-/// `ckpt_slot00006.gpck` restored into a fresh world replays slots 6..
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidConfig`] when `every` is zero or `dir`
-/// cannot be created, any policy-decision validation error from
-/// [`SlotStepper::apply`], and any file-write error.
-pub fn run_with_checkpoints<P: GlobalPolicy + ?Sized>(
-    mut stepper: SlotStepper,
-    policy: &mut P,
-    source: &mut dyn DeltaSource,
-    every: u32,
-    dir: &Path,
-) -> Result<SimulationReport> {
-    if every == 0 {
-        return Err(Error::invalid_config(
-            "checkpoint interval must be at least 1 slot (got 0)",
-        ));
-    }
-    std::fs::create_dir_all(dir).map_err(|e| {
-        Error::invalid_config(format!(
-            "cannot create checkpoint directory {}: {e}",
-            dir.display()
-        ))
-    })?;
-    while !stepper.is_done() {
-        stepper.advance_world(source)?;
-        let decision = policy.decide(&stepper.observe());
-        let metrics = stepper.apply(decision)?;
-        let completed = metrics.slot.0 + 1;
-        if completed % every == 0 && !stepper.is_done() {
-            let ck = checkpoint_with_policy(&stepper, policy)?;
-            write_file(&ck, &checkpoint_path(dir, completed))?;
-        }
-    }
-    Ok(stepper.into_report(policy.name()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ScenarioConfig;
-    use crate::engine::{Scenario, Simulator};
+    use crate::engine::Scenario;
+    use crate::metrics::SimulationReport;
     use crate::testkit::{tiny_config, RoundRobinDcs};
     use geoplace_workload::source::SyntheticSource;
 
@@ -196,26 +155,19 @@ mod tests {
         SlotStepper::new(Scenario::build(config).unwrap())
     }
 
-    #[test]
-    fn run_with_checkpoints_matches_the_batch_loop() {
-        let config = tiny_config();
-        let dir = std::env::temp_dir().join("geoplace_ckpt_batch_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let report = run_with_checkpoints(
-            stepper_for(&config),
-            &mut RoundRobinDcs,
-            &mut SyntheticSource,
-            2,
-            &dir,
-        )
-        .unwrap();
-        let reference = Simulator::new(Scenario::build(&config).unwrap()).run(&mut RoundRobinDcs);
-        assert_eq!(report, reference);
-        assert_eq!(report.digest(), reference.digest());
-        // horizon 4, every 2 → a file at slot 2 but none at the final slot 4.
-        assert!(checkpoint_path(&dir, 2).exists());
-        assert!(!checkpoint_path(&dir, 4).exists());
-        let _ = std::fs::remove_dir_all(&dir);
+    /// Drives `stepper` under `policy` until `slots` slots are complete.
+    fn run_until(stepper: &mut SlotStepper, policy: &mut RoundRobinDcs, slots: u32) {
+        while stepper.completed_slots() < slots {
+            stepper.advance_world(&mut SyntheticSource).unwrap();
+            let decision = policy.decide(&stepper.observe());
+            stepper.apply(decision).unwrap();
+        }
+    }
+
+    fn finish(mut stepper: SlotStepper, mut policy: RoundRobinDcs) -> SimulationReport {
+        let horizon = stepper.horizon();
+        run_until(&mut stepper, &mut policy, horizon);
+        stepper.into_report(policy.name())
     }
 
     #[test]
@@ -223,39 +175,28 @@ mod tests {
         let config = tiny_config();
         let dir = std::env::temp_dir().join("geoplace_ckpt_resume_test");
         let _ = std::fs::remove_dir_all(&dir);
-        let reference = run_with_checkpoints(
-            stepper_for(&config),
-            &mut RoundRobinDcs,
-            &mut SyntheticSource,
-            2,
-            &dir,
-        )
-        .unwrap();
-        let ck = read_file(&checkpoint_path(&dir, 2)).unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = checkpoint_path(&dir, 2);
+        let mut stepper = stepper_for(&config);
+        let mut policy = RoundRobinDcs;
+        run_until(&mut stepper, &mut policy, 2);
+        write_file(&checkpoint_with_policy(&stepper, &policy).unwrap(), &path).unwrap();
+        let reference = finish(stepper, policy);
+
+        let ck = read_file(&path).unwrap();
         let mut stepper = stepper_for(&config);
         let mut policy = RoundRobinDcs;
         restore_with_policy(&mut stepper, &mut policy, &ck).unwrap();
-        let mut source = SyntheticSource;
-        while !stepper.is_done() {
-            stepper.advance_world(&mut source).unwrap();
-            let decision = policy.decide(&stepper.observe());
-            stepper.apply(decision).unwrap();
-        }
-        let resumed = stepper.into_report(policy.name());
-        assert_eq!(resumed.digest(), reference.digest());
+        assert_eq!(finish(stepper, policy).digest(), reference.digest());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn restore_under_the_wrong_policy_is_rejected_by_name() {
         let config = tiny_config();
-        let stepper = stepper_for(&config);
-        let mut source = SyntheticSource;
-        let mut stepper = stepper;
+        let mut stepper = stepper_for(&config);
         let mut policy = RoundRobinDcs;
-        stepper.advance_world(&mut source).unwrap();
-        let d = policy.decide(&stepper.observe());
-        stepper.apply(d).unwrap();
+        run_until(&mut stepper, &mut policy, 1);
         let ck = checkpoint_with_policy(&stepper, &policy).unwrap();
         let mut fresh = stepper_for(&config);
         let mut other = crate::testkit::AllOnFirstDc;
@@ -276,28 +217,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_interval_is_rejected() {
-        let err = run_with_checkpoints(
-            stepper_for(&tiny_config()),
-            &mut RoundRobinDcs,
-            &mut SyntheticSource,
-            0,
-            Path::new("/tmp/unused"),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("at least 1 slot"), "{err}");
-    }
-
-    #[test]
     fn unwritable_directory_names_the_path() {
-        let err = run_with_checkpoints(
-            stepper_for(&tiny_config()),
-            &mut RoundRobinDcs,
-            &mut SyntheticSource,
-            1,
-            Path::new("/proc/definitely/not/writable"),
-        )
-        .unwrap_err();
+        let ck = checkpoint_with_policy(&stepper_for(&tiny_config()), &RoundRobinDcs).unwrap();
+        let path = checkpoint_path(Path::new("/proc/definitely/not/writable"), 0);
+        let err = write_file(&ck, &path).unwrap_err();
         assert!(err.to_string().contains("/proc/definitely"), "{err}");
     }
 }

@@ -111,7 +111,7 @@ impl Scenario {
 
 /// Runs one policy over a [`Scenario`]: the batch loop over a
 /// [`SlotStepper`]. Drivers that need more than the batch loop —
-/// checkpointing runs ([`crate::checkpoint::run_with_checkpoints`]),
+/// checkpointing runs ([`crate::checkpoint::checkpoint_with_policy`]),
 /// restore-then-resume, online sessions — pump a [`SlotStepper`]
 /// directly.
 #[derive(Debug)]

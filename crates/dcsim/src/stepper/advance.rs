@@ -16,8 +16,9 @@ impl SlotStepper {
     /// per-slot factors, pulls the boundary's [`FleetDelta`] from
     /// `source` (slot 0 bootstraps from the initial population and
     /// consults no source), maintains the observation windows and the
-    /// traffic CSR, computes the slot's CPU correlation and per-DC info
-    /// blocks, and arms the decision phase.
+    /// traffic CSR (building both from the fleet at slot 0 and on the
+    /// first slot after a restore), computes the slot's CPU correlation
+    /// and per-DC info blocks, and arms the decision phase.
     ///
     /// Returns the boundary's delta so a driver can report the churn.
     ///
@@ -65,21 +66,21 @@ impl SlotStepper {
                 }),
         );
 
-        // --- Observation phase: the previous interval's data. Slot 0
-        // bootstraps from an all-zero observation window — no interval
-        // has been observed yet, and peeking at the running slot's own
-        // samples would be look-ahead bias in the first decision.
-        let mut delta = FleetDelta::default();
-        if slot_index > 0 {
-            delta = source.advance(&mut self.scenario.fleet, slot)?;
+        // --- Observation phase: the previous interval's data.
+        let delta = if slot_index > 0 {
+            source.advance(&mut self.scenario.fleet, slot)?
+        } else {
+            FleetDelta::default()
+        };
+        let fleet = &self.scenario.fleet;
+        if self.scratch.warm {
             // Last slot's *actual* windows are exactly this slot's
             // observation for every surviving VM: swap the buffers and
             // reconcile the churn — only arrivals' rows are synthesized,
             // and only the structural edge delta is applied to the
             // traffic CSR.
             std::mem::swap(&mut self.scratch.observed, &mut self.scratch.actual);
-            let fleet = &self.scenario.fleet;
-            let obs_slot = slot.prev().expect("slot_index > 0");
+            let obs_slot = slot.prev().expect("a warm scratch has run a slot");
             self.scratch.observed.reconcile(fleet.active(), |vm, row| {
                 fleet
                     .vm(vm)
@@ -92,8 +93,23 @@ impl SlotStepper {
                 &delta.connected,
                 fleet.data_correlation(),
             );
+        } else {
+            // Cold scratch: build the observation and the traffic CSR
+            // from the fleet. Slot 0 bootstraps from an all-zero window —
+            // no interval has been observed yet, and peeking at the
+            // running slot's own samples would be look-ahead bias in the
+            // first decision. After a restore the traces, pure functions
+            // of (VM, slot), give back the previous interval bit for bit.
+            match slot.prev() {
+                Some(prev) => fleet.windows_into(prev, &mut self.scratch.observed),
+                None => self
+                    .scratch
+                    .observed
+                    .fill(fleet.active(), TICKS_PER_SLOT, |_, _| {}),
+            }
+            self.scratch.traffic.rebuild(fleet.data_correlation());
+            self.scratch.warm = true;
         }
-        let fleet = &self.scenario.fleet;
         // `assignment.retain` below binary-searches the active list;
         // the fleet's sorted-active invariant is what makes that (and
         // the whole id-ordered incremental pipeline) sound.
@@ -107,12 +123,6 @@ impl SlotStepper {
         self.assignment
             .retain(|vm, _| active.binary_search(vm).is_ok());
 
-        if slot_index == 0 {
-            self.scratch
-                .observed
-                .fill(fleet.active(), TICKS_PER_SLOT, |_, _| {});
-            self.scratch.traffic.rebuild(fleet.data_correlation());
-        }
         fleet.windows_into(slot, &mut self.scratch.actual);
         self.scratch.arena.refill(self.scratch.observed.ids());
 

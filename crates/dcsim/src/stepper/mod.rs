@@ -68,10 +68,12 @@ pub struct SlotMetrics {
     pub slot: TimeSlot,
     /// The full hourly accounting row, exactly as pushed into the report.
     pub record: HourlyRecord,
-    /// FNV-1a hash of the *live engine state* at the boundary after this
-    /// slot (see [`SlotStepper::state_hash`]) — not of the report. A run
-    /// resumed from a checkpoint must reproduce the uninterrupted run's
-    /// hash at every subsequent slot, which proves slot-by-slot state
+    /// FNV-1a hash of the engine's run state at the boundary after this
+    /// slot: the slot index and the bytes of the `stepper`, `assignment`,
+    /// `fleet` and `dcs` checkpoint sections (see
+    /// [`SlotStepper::state_hash`]) — not of the report. A run resumed
+    /// from a checkpoint must reproduce the uninterrupted run's hash at
+    /// every subsequent slot, which proves slot-by-slot state
     /// convergence rather than just end-of-run digest equality.
     pub state_hash: u64,
 }
@@ -119,6 +121,11 @@ pub(crate) struct EngineScratch {
     pub(crate) arena: VmArena,
     /// Incrementally maintained traffic CSR source.
     pub(crate) traffic: TrafficGraphCache,
+    /// Whether `actual` holds the last slot's windows and `traffic` the
+    /// last boundary's pairs, for the next advance to maintain. A fresh
+    /// scratch is cold (slot 0, or the first slot after a restore): the
+    /// advance builds both from the fleet instead.
+    pub(crate) warm: bool,
 }
 
 impl EngineScratch {
@@ -133,6 +140,7 @@ impl EngineScratch {
             actual: UtilizationWindows::zeros(&[], TICKS_PER_SLOT),
             arena: VmArena::default(),
             traffic: TrafficGraphCache::new(),
+            warm: false,
         }
     }
 }

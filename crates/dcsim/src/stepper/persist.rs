@@ -7,29 +7,31 @@
 //! restored bit-identically. The checkpoint serializes exactly the state
 //! that is *not* a pure function of the scenario configuration:
 //!
-//! | section      | contents                                             |
-//! |--------------|------------------------------------------------------|
-//! | `stepper`    | engine RNG state, green-controller flag              |
-//! | `assignment` | the standing VM → DC placement                       |
-//! | `fleet`      | full fleet position (delegated to the workload crate)|
-//! | `dcs`        | per-DC battery charge, energy ledgers, forecaster    |
-//! | `report`     | the accumulated hourly/response/per-DC series        |
+//! | section      | contents                                                  |
+//! |--------------|-----------------------------------------------------------|
+//! | `stepper`    | engine RNG state, green-controller arbitrage flag         |
+//! | `assignment` | the standing VM → DC placement                            |
+//! | `fleet`      | every VM ever admitted, the active set, the fleet RNG,    |
+//! |              | the arrival process and the traffic pairs                 |
+//! | `dcs`        | per-DC battery charge, energy ledgers, forecaster         |
+//! | `report`     | the accumulated hourly/response/per-DC series             |
+//!
+//! The first four are the engine's run state, and one function builds
+//! their bytes: [`SlotStepper::checkpoint`] writes them, and
+//! [`SlotStepper::state_hash`] is FNV-1a over the boundary slot and the
+//! same bytes, so the hash covers exactly what a restore brings back.
 //!
 //! Everything else — executors, samplers, power models, the
-//! `EngineScratch` buffers, the CPU-correlation and traffic caches — is
-//! rebuilt: the next `advance_world` resolves the slot's event factors
-//! from the configuration's timeline, the scratch's previous-slot
-//! `actual` windows are re-materialized from the restored traces, and
-//! the traffic CSR is rebuilt from the restored pair set, which the next
-//! `advance_world` then maintains incrementally exactly as the
-//! uninterrupted run would have.
+//! CPU-correlation matrix and the `EngineScratch` buffers — is rebuilt.
+//! A restore leaves the scratch as a fresh stepper has it, and the next
+//! `advance_world` builds the observation windows and the traffic CSR
+//! from the restored fleet, as it does at slot 0.
 
-use super::{Phase, SlotStepper};
+use super::{EngineScratch, Phase, SlotStepper};
 use crate::config::ScenarioConfig;
 use crate::metrics::HourlyRecord;
 use geoplace_types::hash::Fnv64;
 use geoplace_types::snap::{Checkpoint, SnapWriter, Snapshot};
-use geoplace_types::time::TimeSlot;
 use geoplace_types::units::Joules;
 use geoplace_types::{DcId, Error, Parallelism, Result, VmId};
 use rand::rngs::StdRng;
@@ -52,41 +54,24 @@ impl SlotStepper {
         geoplace_types::snap::fingerprint_str(&format!("{config:?}"))
     }
 
-    /// Cheap deterministic hash of the live engine state at the current
-    /// boundary: the next slot index, the engine RNG, the standing
-    /// assignment, per-DC battery/ledger/forecaster state and the fleet
-    /// position. O(assignment + fleet history) per call and independent
+    /// Deterministic hash of the run state at the current boundary:
+    /// FNV-1a over the next slot index and the bytes of the `stepper`,
+    /// `assignment`, `fleet` and `dcs` checkpoint sections. Two steppers
+    /// hash equal exactly when a checkpoint of either would restore the
+    /// same state. O(assignment + fleet history) per call and independent
     /// of thread count, so a resumed run converging on the uninterrupted
     /// one is visible hash-by-hash (this is the value stamped into
     /// [`SlotMetrics::state_hash`](super::SlotMetrics::state_hash)).
     pub fn state_hash(&self) -> u64 {
-        let mut h = Fnv64::new();
-        h.write_u32(self.next_slot);
-        for word in self.rng.state() {
-            h.write_u64(word);
-        }
-        h.write_u32(u32::from(self.green.disable_arbitrage));
-        h.write_u64(self.assignment.len() as u64);
-        for (&vm, &dc) in &self.assignment {
-            h.write_u32(vm.0);
-            h.write_u32(u32::from(dc.0));
-        }
-        for dc in &self.scenario.dcs {
-            h.write_f64(dc.battery.state_of_charge().0);
-            h.write_f64(dc.last_it_energy.0);
-            h.write_f64(dc.last_total_energy.0);
-            h.write_u64(dc.forecaster.recorded_days() as u64);
-        }
-        h.write_u64(self.scenario.fleet.state_fingerprint());
-        h.finish()
+        hash_sections(self.next_slot, &self.engine_sections())
     }
 
     /// Freezes the engine state into a [`Checkpoint`] container.
     ///
     /// The container carries the config fingerprint, the boundary slot
     /// and the state hash in its header, plus the five engine sections.
-    /// Drivers that also own policy state (the serve session, the
-    /// checkpointing run loop) append their own `policy` section — see
+    /// Drivers that also own policy state (the serve session, for one)
+    /// append their own `policy` section — see
     /// [`crate::checkpoint::checkpoint_with_policy`].
     ///
     /// # Errors
@@ -101,36 +86,12 @@ impl SlotStepper {
                 self.next_slot
             )));
         }
-        let mut ck = Checkpoint::new(self.config_fingerprint(), self.next_slot, self.state_hash());
-
-        let mut w = SnapWriter::new();
-        for word in self.rng.state() {
-            w.write_u64(word);
+        let sections = self.engine_sections();
+        let state_hash = hash_sections(self.next_slot, &sections);
+        let mut ck = Checkpoint::new(self.config_fingerprint(), self.next_slot, state_hash);
+        for (name, bytes) in sections {
+            ck.add_section(name, bytes);
         }
-        w.write_bool(self.green.disable_arbitrage);
-        ck.add_section("stepper", w.into_bytes());
-
-        let mut w = SnapWriter::new();
-        w.write_u32(self.assignment.len() as u32);
-        for (&vm, &dc) in &self.assignment {
-            w.write_u32(vm.0);
-            w.write_u32(u32::from(dc.0));
-        }
-        ck.add_section("assignment", w.into_bytes());
-
-        let mut w = SnapWriter::new();
-        self.scenario.fleet.save_state(&mut w);
-        ck.add_section("fleet", w.into_bytes());
-
-        let mut w = SnapWriter::new();
-        w.write_u32(self.scenario.dcs.len() as u32);
-        for dc in &self.scenario.dcs {
-            w.write_f64(dc.battery.state_of_charge().0);
-            w.write_f64(dc.last_it_energy.0);
-            w.write_f64(dc.last_total_energy.0);
-            dc.forecaster.save_state(&mut w);
-        }
-        ck.add_section("dcs", w.into_bytes());
 
         let mut w = SnapWriter::new();
         w.write_str(&self.report.policy);
@@ -165,13 +126,53 @@ impl SlotStepper {
         Ok(ck)
     }
 
+    /// The bytes of the four run-state sections, the one definition of
+    /// what [`SlotStepper::checkpoint`] saves and
+    /// [`SlotStepper::state_hash`] hashes.
+    fn engine_sections(&self) -> [(&'static str, Vec<u8>); 4] {
+        let mut stepper = SnapWriter::new();
+        for word in self.rng.state() {
+            stepper.write_u64(word);
+        }
+        stepper.write_bool(self.green.disable_arbitrage);
+
+        let mut assignment = SnapWriter::new();
+        assignment.write_u32(self.assignment.len() as u32);
+        for (&vm, &dc) in &self.assignment {
+            assignment.write_u32(vm.0);
+            assignment.write_u32(u32::from(dc.0));
+        }
+
+        let mut fleet = SnapWriter::new();
+        self.scenario.fleet.save_state(&mut fleet);
+
+        let mut dcs = SnapWriter::new();
+        dcs.write_u32(self.scenario.dcs.len() as u32);
+        for dc in &self.scenario.dcs {
+            dcs.write_f64(dc.battery.state_of_charge().0);
+            dcs.write_f64(dc.last_it_energy.0);
+            dcs.write_f64(dc.last_total_energy.0);
+            dc.forecaster.save_state(&mut dcs);
+        }
+
+        [
+            ("stepper", stepper.into_bytes()),
+            ("assignment", assignment.into_bytes()),
+            ("fleet", fleet.into_bytes()),
+            ("dcs", dcs.into_bytes()),
+        ]
+    }
+
     /// Restores the engine state from a [`Checkpoint`] in place, leaving
     /// the stepper at the checkpoint's slot boundary ready for
     /// `advance_world`. The stepper must have been built from the *same*
     /// scenario configuration; the config fingerprint enforces that.
     ///
     /// Unknown extra sections (e.g. `policy`) are ignored — the caller
-    /// that wrote them restores them.
+    /// that wrote them restores them. A restore keeps nothing of the run
+    /// the stepper held before: its slot scratch goes back to a fresh
+    /// stepper's, which the next `advance_world` rebuilds from the
+    /// restored fleet.
     ///
     /// # Errors
     ///
@@ -308,31 +309,27 @@ impl SlotStepper {
         r.finish()?;
 
         // Commit the scalar state and drop everything the next advance
-        // rebuilds.
+        // rebuilds: a fresh scratch sends it down the cold path.
         self.rng = StdRng::from_state(state);
         self.green.disable_arbitrage = disable_arbitrage;
         self.assignment = assignment;
         self.next_slot = ck.slot;
         self.phase = Phase::AwaitingAdvance;
+        self.scratch = EngineScratch::new();
         self.cpu_corr = None;
         self.dc_infos = Vec::new();
-
-        // Re-materialize the previous slot's *actual* windows: the next
-        // advance swaps them into the observed buffer, so they must hold
-        // exactly what the uninterrupted run left there (the traces are
-        // pure functions of (VM, slot), so this is bit-identical). The
-        // traffic CSR is rebuilt from the restored pair set and then
-        // delta-maintained as usual.
-        if ck.slot > 0 {
-            self.scenario
-                .fleet
-                .windows_into(TimeSlot(ck.slot - 1), &mut self.scratch.actual);
-        }
-        self.scratch
-            .traffic
-            .rebuild(self.scenario.fleet.data_correlation());
         Ok(())
     }
+}
+
+/// FNV-1a over a boundary slot and the bytes of its run-state sections.
+fn hash_sections(slot: u32, sections: &[(&'static str, Vec<u8>)]) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_u32(slot);
+    for (_, bytes) in sections {
+        h.write_bytes(bytes);
+    }
+    h.finish()
 }
 
 #[cfg(test)]
@@ -341,6 +338,7 @@ mod tests {
     use crate::engine::Scenario;
     use crate::policy::GlobalPolicy;
     use crate::testkit::{assert_observation_matches_rebuild, tiny_config, RoundRobinDcs};
+    use geoplace_types::time::TimeSlot;
     use geoplace_workload::source::SyntheticSource;
 
     fn run_to(slot: u32) -> SlotStepper {
@@ -463,6 +461,42 @@ mod tests {
             hashes
         };
         assert_eq!(run(8), run(1));
+    }
+
+    #[test]
+    fn state_hash_reads_the_forecasters_current_day() {
+        // Two observations of the same slot within the current day: the
+        // day count stays, the forecast of the next slot moves, and the
+        // state hash must move with it.
+        let mut stepper = run_to(2);
+        let mut hash_after = |energy: f64| {
+            let forecaster = &mut stepper.scenario.dcs[0].forecaster;
+            forecaster.observe(TimeSlot(1), Joules(energy));
+            let forecast = forecaster.forecast(TimeSlot(2));
+            (forecaster.recorded_days(), forecast, stepper.state_hash())
+        };
+        let (days_a, forecast_a, hash_a) = hash_after(1.0e6);
+        let (days_b, forecast_b, hash_b) = hash_after(2.0e6);
+        assert_eq!(days_a, days_b);
+        assert_ne!(forecast_a, forecast_b);
+        assert_ne!(hash_a, hash_b);
+    }
+
+    #[test]
+    fn restore_into_a_stepper_that_ran_ahead_resumes_bit_identically() {
+        let (reference_hashes, reference_digest) = finish(run_to(0));
+        let ck = run_to(1).checkpoint().unwrap();
+        // The target's scratch holds slot 3's windows and traffic; the
+        // restore must leave none of it for the next advance to reuse.
+        let mut resumed = run_to(3);
+        resumed.restore(&ck).unwrap();
+        assert_eq!(resumed.completed_slots(), 1);
+        assert_eq!(resumed.state_hash(), ck.state_hash);
+        // `finish` checks each slot's observation against a rebuild, the
+        // first slot after the restore included.
+        let (tail_hashes, resumed_digest) = finish(resumed);
+        assert_eq!(tail_hashes[..], reference_hashes[1..]);
+        assert_eq!(resumed_digest, reference_digest);
     }
 
     #[test]

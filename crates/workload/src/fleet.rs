@@ -176,32 +176,7 @@ impl VmFleet {
         let mut delta = FleetDelta::default();
         while self.current_slot < slot {
             let next = self.current_slot.next();
-            // Departures: VMs whose half-open activity window ends at `next`.
-            let departed: Vec<VmId> = self
-                .active
-                .iter()
-                .copied()
-                .filter(|&id| {
-                    let vm = &self.vms[self.by_id[&id]];
-                    !vm.is_active_at(next)
-                })
-                .collect();
-            // `departed` is filtered from the sorted active list, so it is
-            // itself sorted: one in-order merge pointer removes every
-            // departure in O(active) — a `departed.contains` scan here is
-            // O(active × departed) and melts under churn-storm turnover.
-            let mut next_departure = 0usize;
-            self.active.retain(|&id| {
-                if next_departure < departed.len() && departed[next_departure] == id {
-                    next_departure += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-            debug_assert_eq!(next_departure, departed.len());
-            self.data.disconnect(&departed);
-            delta.departed.extend(departed);
+            delta.departed.extend(self.depart(next, &[]));
 
             // Arrivals for the new slot.
             let newcomers = self.arrivals.arrivals_for(next);
@@ -288,21 +263,13 @@ impl VmFleet {
                 )));
             }
         }
-        // Natural expiries at this boundary (pure read; needed to check
-        // that traffic endpoints survive it).
-        let naturally_departed: Vec<VmId> = self
-            .active
-            .iter()
-            .copied()
-            .filter(|&id| !self.vms[self.by_id[&id]].is_active_at(slot))
-            .collect();
+        // A traffic endpoint must outlive the boundary: arrive in this
+        // batch, or be active, not expire and not be departed.
         let survives = |vm: VmId| -> bool {
-            if batch_ids.contains(&vm) {
-                return true;
-            }
-            self.active.binary_search(&vm).is_ok()
-                && naturally_departed.binary_search(&vm).is_err()
-                && !events.departures.contains(&vm)
+            batch_ids.contains(&vm)
+                || (self.active.binary_search(&vm).is_ok()
+                    && self.vms[self.by_id[&vm]].is_active_at(slot)
+                    && !events.departures.contains(&vm))
         };
         for pair in &events.traffic {
             if pair.a == pair.b {
@@ -329,25 +296,11 @@ impl VmFleet {
             }
         }
 
-        // --- Commit. Departures: natural expiries merged with the
-        // explicit list, sorted and deduplicated, removed in one pass.
-        let mut delta = FleetDelta::default();
-        let mut departed = naturally_departed;
-        departed.extend_from_slice(&events.departures);
-        departed.sort_unstable();
-        departed.dedup();
-        let mut next_departure = 0usize;
-        self.active.retain(|&id| {
-            if next_departure < departed.len() && departed[next_departure] == id {
-                next_departure += 1;
-                false
-            } else {
-                true
-            }
-        });
-        debug_assert_eq!(next_departure, departed.len());
-        self.data.disconnect(&departed);
-        delta.departed = departed;
+        // --- Commit.
+        let mut delta = FleetDelta {
+            departed: self.depart(slot, &events.departures),
+            ..FleetDelta::default()
+        };
 
         // Arrivals: each external VM forms its own fresh application group
         // (its traffic is whatever the producer wires explicitly).
@@ -433,15 +386,35 @@ impl VmFleet {
         self.vms.len()
     }
 
-    /// FNV-1a hash of the fleet's full serialized position (the same
-    /// bytes `Snapshot::save_state` emits) — one ingredient of the
-    /// engine's per-slot state hash. O(history + pairs).
-    pub fn state_fingerprint(&self) -> u64 {
-        let mut w = geoplace_types::snap::SnapWriter::new();
-        geoplace_types::snap::Snapshot::save_state(self, &mut w);
-        let mut h = geoplace_types::hash::Fnv64::new();
-        h.write_bytes(&w.into_bytes());
-        h.finish()
+    /// The departure step of the boundary into `slot`: the VMs whose
+    /// half-open activity window ends there, plus the `explicit` early
+    /// departures (all active), leave the active set and the traffic
+    /// structure. Returns them sorted and deduplicated.
+    fn depart(&mut self, slot: TimeSlot, explicit: &[VmId]) -> Vec<VmId> {
+        let mut departed: Vec<VmId> = self
+            .active
+            .iter()
+            .copied()
+            .filter(|&id| !self.vms[self.by_id[&id]].is_active_at(slot))
+            .collect();
+        departed.extend_from_slice(explicit);
+        departed.sort_unstable();
+        departed.dedup();
+        // Both lists are sorted, so one in-order merge pointer removes
+        // every departure in O(active) — a `departed.contains` scan here
+        // is O(active × departed) and melts under churn-storm turnover.
+        let mut next_departure = 0usize;
+        self.active.retain(|&id| {
+            if next_departure < departed.len() && departed[next_departure] == id {
+                next_departure += 1;
+                false
+            } else {
+                true
+            }
+        });
+        debug_assert_eq!(next_departure, departed.len());
+        self.data.disconnect(&departed);
+        departed
     }
 
     fn register(&mut self, vm: VmSpec) {
@@ -472,11 +445,7 @@ impl geoplace_types::snap::Snapshot for VmFleet {
             w.write_u32(vm.arrival().0);
             w.write_u32(vm.lifetime_slots());
             let params = vm.trace().params();
-            w.write_u8(match params.kind {
-                TraceKind::WebServing => 0,
-                TraceKind::Batch => 1,
-                TraceKind::Hpc => 2,
-            });
+            w.write_u8(params.kind.tag());
             w.write_f64(params.base);
             w.write_f64(params.amplitude);
             w.write_f64(params.phase_hours);
@@ -509,18 +478,14 @@ impl geoplace_types::snap::Snapshot for VmFleet {
             let memory = Gigabytes(r.read_f64()?);
             let arrival = TimeSlot(r.read_u32()?);
             let lifetime_slots = r.read_u32()?;
-            let kind = match r.read_u8()? {
-                0 => TraceKind::WebServing,
-                1 => TraceKind::Batch,
-                2 => TraceKind::Hpc,
-                other => {
-                    return Err(Error::snapshot(
-                        "fleet",
-                        at,
-                        format!("VM {id} has unknown trace kind tag {other}"),
-                    ))
-                }
-            };
+            let tag = r.read_u8()?;
+            let kind = TraceKind::from_tag(tag).ok_or_else(|| {
+                Error::snapshot(
+                    "fleet",
+                    at,
+                    format!("VM {id} has unknown trace kind tag {tag}"),
+                )
+            })?;
             let params = TraceParams {
                 kind,
                 base: r.read_f64()?,

@@ -96,11 +96,7 @@ impl geoplace_types::snap::Snapshot for ExternalDeltaSource {
             w.write_u32(arrival.id.0);
             w.write_f64(arrival.memory_gb);
             w.write_u32(arrival.lifetime_slots);
-            w.write_u8(match arrival.kind {
-                TraceKind::WebServing => 0,
-                TraceKind::Batch => 1,
-                TraceKind::Hpc => 2,
-            });
+            w.write_u8(arrival.kind.tag());
             w.write_u64(arrival.trace_seed);
         }
         w.write_u32(self.pending.departures.len() as u32);
@@ -123,18 +119,14 @@ impl geoplace_types::snap::Snapshot for ExternalDeltaSource {
             let id = VmId(r.read_u32()?);
             let memory_gb = r.read_f64()?;
             let lifetime_slots = r.read_u32()?;
-            let kind = match r.read_u8()? {
-                0 => TraceKind::WebServing,
-                1 => TraceKind::Batch,
-                2 => TraceKind::Hpc,
-                other => {
-                    return Err(geoplace_types::Error::snapshot(
-                        "source",
-                        at,
-                        format!("pending arrival {id} has unknown trace kind tag {other}"),
-                    ))
-                }
-            };
+            let tag = r.read_u8()?;
+            let kind = TraceKind::from_tag(tag).ok_or_else(|| {
+                geoplace_types::Error::snapshot(
+                    "source",
+                    at,
+                    format!("pending arrival {id} has unknown trace kind tag {tag}"),
+                )
+            })?;
             pending.arrivals.push(ExternalArrival {
                 id,
                 memory_gb,
@@ -211,7 +203,7 @@ impl TraceSource {
             hash.write_u32(row.vm);
             hash.write_f64(row.memory_gb);
             hash.write_u32(row.lifetime_slots);
-            hash.write_bytes(&[row.kind as u8]);
+            hash.write_bytes(&[row.kind.tag()]);
             hash.write_u64(row.trace_seed);
             hash.write_u64(row.peer.map_or(u64::MAX, u64::from));
             hash.write_f64(row.mb_to_peer);

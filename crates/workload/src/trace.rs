@@ -44,6 +44,36 @@ pub enum TraceKind {
     Hpc,
 }
 
+impl TraceKind {
+    /// Every kind in tag order.
+    const ALL: [TraceKind; 3] = [TraceKind::WebServing, TraceKind::Batch, TraceKind::Hpc];
+
+    /// The kind's byte in checkpoints and trace fingerprints: 0, 1 or 2.
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// The kind a [`TraceKind::tag`] byte stands for.
+    pub fn from_tag(tag: u8) -> Option<TraceKind> {
+        TraceKind::ALL.get(usize::from(tag)).copied()
+    }
+
+    /// The kind's name in trace files and the serve protocol: `web`,
+    /// `batch` or `hpc`.
+    pub fn name(self) -> &'static str {
+        match self {
+            TraceKind::WebServing => "web",
+            TraceKind::Batch => "batch",
+            TraceKind::Hpc => "hpc",
+        }
+    }
+
+    /// The kind a [`TraceKind::name`] stands for.
+    pub fn from_name(name: &str) -> Option<TraceKind> {
+        TraceKind::ALL.into_iter().find(|kind| kind.name() == name)
+    }
+}
+
 /// Parameters of one procedural trace.
 ///
 /// # Examples
@@ -269,6 +299,23 @@ mod tests {
             },
             seed,
         )
+    }
+
+    #[test]
+    fn kind_codes_round_trip_and_keep_their_bytes() {
+        let codes = [
+            (TraceKind::WebServing, "web"),
+            (TraceKind::Batch, "batch"),
+            (TraceKind::Hpc, "hpc"),
+        ];
+        for (tag, (kind, name)) in codes.into_iter().enumerate() {
+            assert_eq!(usize::from(kind.tag()), tag, "{kind:?}");
+            assert_eq!(kind.name(), name);
+            assert_eq!(TraceKind::from_tag(kind.tag()), Some(kind));
+            assert_eq!(TraceKind::from_name(name), Some(kind));
+        }
+        assert_eq!(TraceKind::from_tag(3), None);
+        assert_eq!(TraceKind::from_name("Web"), None);
     }
 
     #[test]

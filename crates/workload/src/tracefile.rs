@@ -162,16 +162,12 @@ fn parse_row(line: &str, line_no: usize, earlier: &[TraceRow]) -> Result<TraceRo
     if lifetime_slots == 0 {
         return Err(format!("line {line_no}: lifetime_slots must be >= 1"));
     }
-    let kind = match fields[4] {
-        "web" => TraceKind::WebServing,
-        "batch" => TraceKind::Batch,
-        "hpc" => TraceKind::Hpc,
-        other => {
-            return Err(format!(
-                "line {line_no}: profile must be web, batch or hpc, got \"{other}\""
-            ))
-        }
-    };
+    let kind = TraceKind::from_name(fields[4]).ok_or_else(|| {
+        format!(
+            "line {line_no}: profile must be web, batch or hpc, got \"{}\"",
+            fields[4]
+        )
+    })?;
     let trace_seed: u64 = field(fields[5], line_no, "trace_seed")?;
 
     let wiring = [fields[6], fields[7], fields[8]];
