@@ -491,28 +491,28 @@ impl Session {
                 format!("profile must be \"web\", \"batch\" or \"hpc\", got {name:?}")
             })?,
         };
-        let id = {
-            let fresh = self.stepper.scenario().fleet.fresh_vm_id().0;
-            let id = self.next_external_id.max(fresh);
-            self.next_external_id = id + 1;
-            VmId(id)
-        };
-        let trace_seed = match request.get("trace_seed") {
-            None => u64::from(id.0),
-            Some(v) => v.as_u64().ok_or("trace_seed must be an unsigned integer")?,
-        };
+        let trace_seed = request
+            .get("trace_seed")
+            .map(|v| v.as_u64().ok_or("trace_seed must be an unsigned integer"))
+            .transpose()?;
+        // The id is taken only once the command is accepted: a refused
+        // arrival leaves the watermark where it was.
+        let fresh = self.stepper.scenario().fleet.fresh_vm_id().0;
+        let id = VmId(self.next_external_id.max(fresh));
         let source = self.external_source()?;
         source.queue_arrival(ExternalArrival {
             id,
             memory_gb,
             lifetime_slots,
             kind,
-            trace_seed,
+            trace_seed: trace_seed.unwrap_or(u64::from(id.0)),
         });
+        let pending = source.pending().arrivals.len();
+        self.next_external_id = id.0 + 1;
         Ok(object(vec![
             ("ok", Value::Bool(true)),
             ("id", id.0.into()),
-            ("pending_arrivals", source.pending().arrivals.len().into()),
+            ("pending_arrivals", pending.into()),
         ]))
     }
 
@@ -878,6 +878,41 @@ mod tests {
         );
         assert!(dir.join("ckpt_slot00002.gpck").exists());
         let _ = std::fs::remove_dir_all(&dir);
+        Ok(())
+    }
+
+    #[test]
+    fn refused_arrivals_take_no_id() -> Result<(), String> {
+        let serve_section = |session: &Session| -> Result<Vec<u8>, String> {
+            let ck = session.build_checkpoint()?;
+            let mut sections = ck.sections();
+            let (_, bytes) = sections
+                .find(|&(name, _)| name == "serve")
+                .ok_or("no serve section")?;
+            Ok(bytes.to_vec())
+        };
+        let arrive = r#"{"cmd":"vm_arrive","memory_gb":1.0,"lifetime_slots":2}"#;
+        let id_of = |response: &Response| -> Result<u64, String> {
+            ok(response)?
+                .get("id")
+                .and_then(Value::as_u64)
+                .ok_or("no id".into())
+        };
+        // External mode refuses a bad field.
+        let mut session = Session::new(&tiny(), PolicyKind::Proposed, true)?;
+        let first = id_of(&session.handle_line(arrive))?;
+        let before = serve_section(&session)?;
+        let message = err(&session.handle_line(
+            r#"{"cmd":"vm_arrive","memory_gb":1.0,"lifetime_slots":2,"trace_seed":-1}"#,
+        ))?;
+        assert!(message.contains("trace_seed"), "{message}");
+        assert_eq!(serve_section(&session)?, before);
+        assert_eq!(id_of(&session.handle_line(arrive))?, first + 1);
+        // Synthetic mode refuses every arrival.
+        let mut session = Session::new(&tiny(), PolicyKind::Proposed, false)?;
+        let before = serve_section(&session)?;
+        assert!(err(&session.handle_line(arrive))?.contains("--external"));
+        assert_eq!(serve_section(&session)?, before);
         Ok(())
     }
 

@@ -15,12 +15,16 @@
 //! after the restore included, checks the observation against a
 //! from-scratch rebuild. A separate focused test pins the per-slot
 //! state-hash convergence contract: identical hashes at every boundary
-//! across all three thread counts.
+//! across all three thread counts. A third drives an `--external` serve
+//! session, whose fleet and traffic come from commands, through a
+//! checkpoint taken with a batch still pending.
 
+use geoplace_bench::json::Value;
 use geoplace_bench::scenario::{
     golden_digests_path, parse_golden_file, policy_for, quick_matrix_config, PolicyKind,
     QUICK_MATRIX_SEEDS, QUICK_MATRIX_SLOTS,
 };
+use geoplace_bench::serve::Session;
 use geoplace_dcsim::checkpoint::{checkpoint_with_policy, restore_with_policy};
 use geoplace_dcsim::config::ScenarioConfig;
 use geoplace_dcsim::engine::Scenario;
@@ -149,4 +153,92 @@ fn per_slot_state_hashes_are_thread_invariant() {
             ),
         }
     }
+}
+
+/// Sends `lines` to `session`, checking that every reply is ok and every
+/// advanced slot's observation equals a rebuild. Returns the `decide`
+/// state hashes and the ids `vm_arrive` handed out.
+fn drive(session: &mut Session, lines: &[String]) -> (Vec<String>, Vec<u64>) {
+    let (mut hashes, mut ids) = (Vec::new(), Vec::new());
+    for line in lines {
+        let response = session.handle_line(line);
+        let reply = Value::parse(&response.line).expect("replies are JSON");
+        let ok = reply.get("ok").and_then(Value::as_bool);
+        assert_eq!(ok, Some(true), "{line} → {}", response.line);
+        if line.contains("\"advance\"") {
+            assert_observation_matches_rebuild(session.stepper());
+        }
+        if line.contains("\"decide\"") {
+            let hash = reply.get("state_hash").and_then(Value::as_str);
+            hashes.push(hash.expect("state_hash").to_owned());
+        }
+        ids.extend(reply.get("id").and_then(Value::as_u64));
+    }
+    (hashes, ids)
+}
+
+/// An external session resumes slot for slot: checkpointed with the
+/// next boundary's batch still pending and restored into a fresh
+/// session, it replays the remaining commands to the uninterrupted
+/// run's ids and `decide` state hashes, and the first slot after the
+/// restore builds its traffic graph from the restored pair map.
+#[test]
+fn external_session_with_wired_traffic_resumes_slot_for_slot() {
+    const SLOTS: u32 = 6;
+    const CHECKPOINT_AT: u32 = 3;
+    let mut config = ScenarioConfig::scaled(11);
+    config.horizon_slots = SLOTS;
+    let session = || Session::new(&config, PolicyKind::Proposed, true).expect("session");
+    // Each boundary: two arrivals wired to each other and to the last
+    // boundary's, a re-rate of the pair wired one boundary earlier, and
+    // at slot 4 the departure of the first arrival, which no later pair
+    // touches.
+    let base = session().stepper().scenario().fleet.fresh_vm_id().0;
+    let wire = |a: u32, b: u32, a_to_b: f64, b_to_a: f64| {
+        format!(
+            r#"{{"cmd":"wire_traffic","a":{a},"b":{b},"a_to_b_mb":{a_to_b},"b_to_a_mb":{b_to_a}}}"#
+        )
+    };
+    let mut script = Vec::new();
+    let mut checkpoint_at = 0;
+    for slot in 0..SLOTS {
+        if slot > 0 {
+            let (a, b) = (base + 2 * slot - 2, base + 2 * slot - 1);
+            for memory_gb in [2.0, 3.0] {
+                script.push(format!(
+                    r#"{{"cmd":"vm_arrive","memory_gb":{memory_gb},"lifetime_slots":8,"profile":"batch"}}"#
+                ));
+            }
+            script.push(wire(a, b, 4.0, 1.5));
+            if slot > 1 {
+                script.push(wire(b, a - 1, 0.5, 2.0));
+                script.push(wire(a - 2, a - 1, 7.0 + f64::from(slot), 0.25));
+            }
+            if slot == 4 {
+                script.push(format!(r#"{{"cmd":"vm_depart","id":{base}}}"#));
+            }
+        }
+        if slot == CHECKPOINT_AT {
+            checkpoint_at = script.len();
+        }
+        script.push(r#"{"cmd":"advance"}"#.to_owned());
+        script.push(r#"{"cmd":"decide"}"#.to_owned());
+    }
+    let (reference, reference_ids) = drive(&mut session(), &script);
+
+    let file = std::env::temp_dir().join("geoplace_external_resume.gpck");
+    let path = format!("{:?}", file.display().to_string());
+    let checkpoint = format!(r#"{{"cmd":"checkpoint","path":{path}}}"#);
+    drive(
+        &mut session(),
+        &[&script[..checkpoint_at], &[checkpoint]].concat(),
+    );
+    let restore = format!(r#"{{"cmd":"restore","path":{path}}}"#);
+    let (hashes, ids) = drive(
+        &mut session(),
+        &[&[restore], &script[checkpoint_at..]].concat(),
+    );
+    let _ = std::fs::remove_file(&file);
+    assert_eq!(hashes[..], reference[CHECKPOINT_AT as usize..]);
+    assert_eq!(ids[..], reference_ids[2 * CHECKPOINT_AT as usize..]);
 }

@@ -140,11 +140,12 @@ impl Simulator {
     /// A thin batch loop over the [`SlotStepper`] lifecycle with the
     /// synthetic fleet as the delta source — advance, observe, decide,
     /// apply, next slot. The per-slot observation structures live in the
-    /// stepper's persistent scratch and are maintained across slots from
-    /// the [`FleetDelta`](geoplace_workload::fleet::FleetDelta) the fleet
-    /// reports (arrivals connected, departures disconnected, last slot's
-    /// actual windows promoted to this slot's observation). A
-    /// hand-driven stepper produces a report bit-identical to this loop.
+    /// stepper's persistent scratch: last slot's actual windows become
+    /// this slot's observation, reconciled with the arrivals and
+    /// departures of the [`FleetDelta`](geoplace_workload::fleet::FleetDelta)
+    /// the fleet reports, and the traffic CSR is refilled from the pair
+    /// map. A hand-driven stepper produces a report bit-identical to this
+    /// loop.
     ///
     /// # Panics
     ///

@@ -15,10 +15,11 @@ impl SlotStepper {
     /// Crosses the next slot boundary: resolves the event timeline's
     /// per-slot factors, pulls the boundary's [`FleetDelta`] from
     /// `source` (slot 0 bootstraps from the initial population and
-    /// consults no source), maintains the observation windows and the
-    /// traffic CSR (building both from the fleet at slot 0 and on the
-    /// first slot after a restore), computes the slot's CPU correlation
-    /// and per-DC info blocks, and arms the decision phase.
+    /// consults no source), maintains the observation windows (building
+    /// them from the fleet at slot 0 and on the first slot after a
+    /// restore), refills the traffic CSR from the pair map, computes the
+    /// slot's CPU correlation and per-DC info blocks, and arms the
+    /// decision phase.
     ///
     /// Returns the boundary's delta so a driver can report the churn.
     ///
@@ -76,9 +77,7 @@ impl SlotStepper {
         if self.scratch.warm {
             // Last slot's *actual* windows are exactly this slot's
             // observation for every surviving VM: swap the buffers and
-            // reconcile the churn — only arrivals' rows are synthesized,
-            // and only the structural edge delta is applied to the
-            // traffic CSR.
+            // reconcile the churn — only arrivals' rows are synthesized.
             std::mem::swap(&mut self.scratch.observed, &mut self.scratch.actual);
             let obs_slot = slot.prev().expect("a warm scratch has run a slot");
             self.scratch.observed.reconcile(fleet.active(), |vm, row| {
@@ -88,18 +87,13 @@ impl SlotStepper {
                     .trace()
                     .window_into(obs_slot, row)
             });
-            self.scratch.traffic.apply_delta(
-                &delta.departed,
-                &delta.connected,
-                fleet.data_correlation(),
-            );
         } else {
-            // Cold scratch: build the observation and the traffic CSR
-            // from the fleet. Slot 0 bootstraps from an all-zero window —
-            // no interval has been observed yet, and peeking at the
-            // running slot's own samples would be look-ahead bias in the
-            // first decision. After a restore the traces, pure functions
-            // of (VM, slot), give back the previous interval bit for bit.
+            // Cold scratch: build the observation from the fleet. Slot 0
+            // bootstraps from an all-zero window — no interval has been
+            // observed yet, and peeking at the running slot's own samples
+            // would be look-ahead bias in the first decision. After a
+            // restore the traces, pure functions of (VM, slot), give back
+            // the previous interval bit for bit.
             match slot.prev() {
                 Some(prev) => fleet.windows_into(prev, &mut self.scratch.observed),
                 None => self
@@ -107,12 +101,11 @@ impl SlotStepper {
                     .observed
                     .fill(fleet.active(), TICKS_PER_SLOT, |_, _| {}),
             }
-            self.scratch.traffic.rebuild(fleet.data_correlation());
             self.scratch.warm = true;
         }
         // `assignment.retain` below binary-searches the active list;
         // the fleet's sorted-active invariant is what makes that (and
-        // the whole id-ordered incremental pipeline) sound.
+        // the windows' id-ordered reconcile) sound.
         debug_assert!(
             fleet.active().windows(2).all(|pair| pair[0] < pair[1]),
             "fleet active set must be strictly sorted"
@@ -149,7 +142,7 @@ impl SlotStepper {
         });
         self.scratch
             .traffic
-            .emit(fleet.data_correlation(), &self.scratch.arena);
+            .refill(fleet.data_correlation(), &self.scratch.arena);
         self.scratch.vm_cores.clear();
         self.scratch.vm_memory.clear();
         for &id in self.scratch.observed.ids() {

@@ -17,9 +17,9 @@
 //! * [`SlotStepper::advance_world`] crosses one slot boundary: it pulls a
 //!   [`FleetDelta`](geoplace_workload::fleet::FleetDelta) from a
 //!   [`DeltaSource`](geoplace_workload::source::DeltaSource) (synthetic
-//!   fleet or external events), maintains the observation windows, the
-//!   traffic CSR and both correlation structures, and resolves the event
-//!   timeline's per-slot factors;
+//!   fleet or external events), reconciles the observation windows,
+//!   refills the traffic CSR from the pair map, computes the CPU
+//!   correlation, and resolves the event timeline's per-slot factors;
 //! * [`SlotStepper::observe`] assembles the borrowed, side-effect-free
 //!   [`SystemSnapshot`](crate::snapshot::SystemSnapshot) the policy
 //!   decides over — calling it twice is free and idempotent;
@@ -54,7 +54,7 @@ use geoplace_types::time::{TimeSlot, TICKS_PER_SLOT};
 use geoplace_types::units::{Gigabytes, Seconds};
 use geoplace_types::{DcId, Error, Exec, Result, VmArena, VmId};
 use geoplace_workload::cpucorr::CpuCorrelationMatrix;
-use geoplace_workload::graph::TrafficGraphCache;
+use geoplace_workload::graph::TrafficGraph;
 use geoplace_workload::window::UtilizationWindows;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -94,10 +94,9 @@ enum Phase {
 /// Owns every vector and matrix the slot step would otherwise reallocate
 /// per slot: the active id list, the core/memory alignment vectors, the
 /// per-DC event factors, both utilization window matrices (observed and
-/// actual), the dense arena and the incremental traffic CSR cache. In the
-/// steady state of the incremental pipeline nothing here allocates
-/// proportionally to the fleet — buffers are refilled (or reconciled) in
-/// place.
+/// actual), the dense arena and the traffic CSR. In the steady state
+/// nothing here allocates proportionally to the fleet — buffers are
+/// refilled (or, for the windows, reconciled) in place.
 #[derive(Debug)]
 pub(crate) struct EngineScratch {
     /// The slot's active VM ids (sorted — the fleet invariant).
@@ -119,12 +118,13 @@ pub(crate) struct EngineScratch {
     pub(crate) actual: UtilizationWindows,
     /// Dense id ↔ index mapping of the active set.
     pub(crate) arena: VmArena,
-    /// Incrementally maintained traffic CSR source.
-    pub(crate) traffic: TrafficGraphCache,
-    /// Whether `actual` holds the last slot's windows and `traffic` the
-    /// last boundary's pairs, for the next advance to maintain. A fresh
-    /// scratch is cold (slot 0, or the first slot after a restore): the
-    /// advance builds both from the fleet instead.
+    /// The slot's traffic CSR over `arena`, refilled from the pair map
+    /// every slot.
+    pub(crate) traffic: TrafficGraph,
+    /// Whether `actual` holds the last slot's windows, for the next
+    /// advance to reconcile. A fresh scratch is cold (slot 0, or the
+    /// first slot after a restore): the advance builds the observation
+    /// from the fleet instead.
     pub(crate) warm: bool,
 }
 
@@ -139,7 +139,7 @@ impl EngineScratch {
             observed: UtilizationWindows::zeros(&[], TICKS_PER_SLOT),
             actual: UtilizationWindows::zeros(&[], TICKS_PER_SLOT),
             arena: VmArena::default(),
-            traffic: TrafficGraphCache::new(),
+            traffic: TrafficGraph::default(),
             warm: false,
         }
     }

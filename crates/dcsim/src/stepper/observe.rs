@@ -31,7 +31,7 @@ impl SlotStepper {
                 .cpu_corr
                 .as_ref()
                 .expect("correlation is computed by every advance"),
-            traffic: self.scratch.traffic.graph(),
+            traffic: &self.scratch.traffic,
             data: self.scenario.fleet.data_correlation(),
             prev_dc: &self.assignment,
             dcs: &self.dc_infos,

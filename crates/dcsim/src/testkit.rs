@@ -8,8 +8,8 @@
 //! stepper and service suites exercise the *same* pathological drivers.
 //!
 //! [`assert_observation_matches_rebuild`] is the check those suites run
-//! on every slot: the stepper maintains the policy's inputs
-//! incrementally, and the check rebuilds them from scratch.
+//! on every slot: the stepper keeps the policy's inputs in buffers it
+//! reuses from slot to slot, and the check rebuilds them from scratch.
 
 use crate::decision::{PlacementDecision, ServerAssignment};
 use crate::policy::GlobalPolicy;
@@ -23,8 +23,9 @@ use geoplace_workload::window::UtilizationWindows;
 
 /// Asserts that the advanced slot's observation equals a from-scratch
 /// rebuild from the fleet. The stepper carries the utilization windows
-/// and the traffic CSR across slots and patches them with each churn
-/// delta; rebuilt from the fleet alone they must come out the same:
+/// across slots and patches them with each churn delta, and it refills
+/// the traffic CSR in buffers it keeps; rebuilt from the fleet alone,
+/// into fresh allocations, both must come out the same:
 ///
 /// * the observed windows are `fleet.windows(prev_slot)`, or all zeros
 ///   at slot 0;

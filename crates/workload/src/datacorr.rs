@@ -114,16 +114,12 @@ impl DataCorrelation {
     /// Wires newly arrived VMs: full mesh inside each application group at
     /// the intra-group rate plus `cross_links_per_vm` random links into the
     /// existing population at the cross-group rate.
-    ///
-    /// Returns the pairs actually inserted, as canonical `(lower, higher)`
-    /// keys — the delta the incremental traffic-graph cache consumes.
     pub fn connect_arrivals<R: Rng + ?Sized>(
         &mut self,
         arrivals: &[VmSpec],
         population: &[VmSpec],
         rng: &mut R,
-    ) -> Vec<(VmId, VmId)> {
-        let mut inserted = Vec::new();
+    ) {
         // Intra-group full mesh: each arrival pairs with the later
         // arrivals of its group, in arrival order (the order the RNG
         // draws are pinned to). Indexing the groups first keeps this
@@ -137,9 +133,7 @@ impl DataCorrelation {
             for &later in &group[group.partition_point(|&p| p <= pos)..] {
                 let b = &arrivals[later];
                 let traffic = self.sample_pair(INTRA_GROUP_MEAN_MB, rng);
-                if self.pairs.insert(key(a.id(), b.id()), traffic).is_none() {
-                    inserted.push(key(a.id(), b.id()));
-                }
+                self.pairs.insert(key(a.id(), b.id()), traffic);
             }
         }
         // Cross-group links into the wider population.
@@ -151,25 +145,17 @@ impl DataCorrelation {
                         continue;
                     }
                     let traffic = self.sample_pair(CROSS_GROUP_MEAN_MB, rng);
-                    if let std::collections::btree_map::Entry::Vacant(slot) =
-                        self.pairs.entry(key(a.id(), b.id()))
-                    {
-                        slot.insert(traffic);
-                        inserted.push(key(a.id(), b.id()));
-                    }
+                    self.pairs.entry(key(a.id(), b.id())).or_insert(traffic);
                 }
             }
         }
-        inserted
     }
 
     /// Wires (or re-rates) one pair with externally specified directed
     /// rates in MB per 5 s tick, `a → b` and `b → a`. The anchor is set to
     /// the pair's total so a later [`DataCorrelation::evolve`] drifts
-    /// around the externally given level. Returns `true` when the pair is
-    /// structurally new — the caller forwards exactly those pairs to the
-    /// incremental traffic-graph cache as its edge delta.
-    pub fn wire_pair(&mut self, a: VmId, b: VmId, a_to_b: f64, b_to_a: f64) -> bool {
+    /// around the externally given level.
+    pub fn wire_pair(&mut self, a: VmId, b: VmId, a_to_b: f64, b_to_a: f64) {
         let (lo_to_hi, hi_to_lo) = if a < b {
             (a_to_b, b_to_a)
         } else {
@@ -180,7 +166,7 @@ impl DataCorrelation {
             hi_to_lo,
             anchor: lo_to_hi + hi_to_lo,
         };
-        self.pairs.insert(key(a, b), traffic).is_none()
+        self.pairs.insert(key(a, b), traffic);
     }
 
     /// Drops every pair touching a departed VM.
@@ -221,9 +207,7 @@ impl DataCorrelation {
     }
 
     /// Directed rates of a pair in MB per tick as `(from → to, to → from)`,
-    /// or `None` when the pair does not communicate. The incremental CSR
-    /// refresh reads drifting rates through this without re-deriving the
-    /// canonical key ordering at every edge.
+    /// or `None` when the pair does not communicate.
     pub fn directed_rates(&self, from: VmId, to: VmId) -> Option<(f64, f64)> {
         let traffic = self.pairs.get(&key(from, to))?;
         if from < to {

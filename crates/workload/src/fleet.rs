@@ -20,11 +20,6 @@ pub struct FleetDelta {
     pub arrived: Vec<VmId>,
     /// VMs that departed at this slot boundary.
     pub departed: Vec<VmId>,
-    /// Traffic pairs wired for the arrivals, as canonical
-    /// `(lower, higher)` keys — the structural delta the incremental
-    /// traffic-graph cache applies instead of re-sorting the whole edge
-    /// set every slot.
-    pub connected: Vec<(VmId, VmId)>,
 }
 
 /// One externally announced VM arrival for
@@ -92,6 +87,11 @@ pub struct VmFleet {
     data: DataCorrelation,
     rng: StdRng,
     current_slot: TimeSlot,
+    /// One past the largest VM id ever admitted: [`VmFleet::fresh_vm_id`].
+    next_id: u32,
+    /// One past the largest application group ever admitted: the first
+    /// group of the next external batch.
+    next_group: u32,
 }
 
 /// Configuration bundling the arrival process and the traffic generator.
@@ -125,6 +125,8 @@ impl VmFleet {
             data,
             rng,
             current_slot: TimeSlot(0),
+            next_id: 0,
+            next_group: 0,
         };
         for vm in initial {
             fleet.register(vm);
@@ -185,11 +187,8 @@ impl VmFleet {
                 .iter()
                 .map(|&id| self.vms[self.by_id[&id]].clone())
                 .collect();
-            delta.connected.extend(self.data.connect_arrivals(
-                &newcomers,
-                &population,
-                &mut self.rng,
-            ));
+            self.data
+                .connect_arrivals(&newcomers, &population, &mut self.rng);
             for vm in newcomers {
                 delta.arrived.push(vm.id());
                 self.register(vm);
@@ -304,12 +303,7 @@ impl VmFleet {
 
         // Arrivals: each external VM forms its own fresh application group
         // (its traffic is whatever the producer wires explicitly).
-        let next_group = self
-            .vms
-            .iter()
-            .map(|vm| vm.group().0 + 1)
-            .max()
-            .unwrap_or(0);
+        let next_group = self.next_group;
         for (offset, arrival) in events.arrivals.iter().enumerate() {
             let params =
                 TraceParams::sample(arrival.kind, &mut StdRng::seed_from_u64(arrival.trace_seed));
@@ -326,20 +320,9 @@ impl VmFleet {
         }
         self.active.sort_unstable();
 
-        // Traffic wiring: only structurally new pairs enter the delta —
-        // re-rated pairs need no CSR edit, their rates are read fresh.
         for pair in &events.traffic {
-            if self
-                .data
-                .wire_pair(pair.a, pair.b, pair.a_to_b_mb, pair.b_to_a_mb)
-            {
-                let key = if pair.a < pair.b {
-                    (pair.a, pair.b)
-                } else {
-                    (pair.b, pair.a)
-                };
-                delta.connected.push(key);
-            }
+            self.data
+                .wire_pair(pair.a, pair.b, pair.a_to_b_mb, pair.b_to_a_mb);
         }
         self.current_slot = slot;
         debug_assert!(
@@ -352,7 +335,7 @@ impl VmFleet {
     /// The smallest id this fleet has never seen — what an external
     /// producer should assign to its next arrival.
     pub fn fresh_vm_id(&self) -> VmId {
-        VmId(self.vms.iter().map(|vm| vm.id().0 + 1).max().unwrap_or(0))
+        VmId(self.next_id)
     }
 
     /// Materializes the 5 s utilization windows of all active VMs for
@@ -419,17 +402,24 @@ impl VmFleet {
 
     fn register(&mut self, vm: VmSpec) {
         let id = vm.id();
+        self.raise_watermarks(&vm);
         self.by_id.insert(id, self.vms.len());
         self.active.push(id);
         self.vms.push(vm);
+    }
+
+    fn raise_watermarks(&mut self, vm: &VmSpec) {
+        self.next_id = self.next_id.max(vm.id().0.saturating_add(1));
+        self.next_group = self.next_group.max(vm.group().0.saturating_add(1));
     }
 }
 
 impl geoplace_types::snap::Snapshot for VmFleet {
     /// Saves the full fleet position: every VM ever admitted (in
-    /// admission order — `advance_external`'s stale-id rejection and
-    /// `fresh_vm_id` both range over the full history, so departed VMs
-    /// must survive a restore too), the active set, the fleet RNG, the
+    /// admission order — `advance_external`'s stale-id rejection, and
+    /// the id and group watermarks a restore recomputes, range over the
+    /// full history, so departed VMs must survive a restore too), the
+    /// active set, the fleet RNG, the
     /// arrival-process position and the pairwise traffic state. Traces
     /// are stored as `(params, seed)` and regenerated on restore.
     fn save_state(&self, w: &mut geoplace_types::snap::SnapWriter) {
@@ -537,6 +527,10 @@ impl geoplace_types::snap::Snapshot for VmFleet {
         self.data.restore_state(r)?;
         self.current_slot = current_slot;
         self.rng = StdRng::from_state(state);
+        (self.next_id, self.next_group) = (0, 0);
+        for vm in &vms {
+            self.raise_watermarks(vm);
+        }
         self.vms = vms;
         self.by_id = by_id;
         self.active = active;
@@ -644,38 +638,6 @@ mod tests {
             fleet.advance_to(TimeSlot(s));
             fleet.windows_into(TimeSlot(s - 1), &mut buffer);
             assert_eq!(buffer, fleet.windows(TimeSlot(s - 1)), "slot {s}");
-        }
-    }
-
-    #[test]
-    fn delta_reports_the_pairs_it_wires() {
-        let mut fleet = small_fleet(10);
-        let mut before: Vec<(VmId, VmId)> = fleet
-            .data_correlation()
-            .iter()
-            .map(|(a, b, _)| (a, b))
-            .collect();
-        for s in 1..=12u32 {
-            let delta = fleet.advance_to(TimeSlot(s));
-            // Every reported pair must exist unless an endpoint already
-            // departed again; every *surviving* new pair must be reported.
-            let after: Vec<(VmId, VmId)> = fleet
-                .data_correlation()
-                .iter()
-                .map(|(a, b, _)| (a, b))
-                .collect();
-            for pair in &after {
-                let existed = before.binary_search(pair).is_ok();
-                let reported = delta.connected.contains(pair);
-                assert!(
-                    existed || reported,
-                    "slot {s}: pair {pair:?} appeared without a delta entry"
-                );
-            }
-            for &(a, b) in &delta.connected {
-                assert!(a < b, "delta pairs must be canonical");
-            }
-            before = after;
         }
     }
 
@@ -802,16 +764,55 @@ mod tests {
             }],
             ..ExternalSlotEvents::default()
         };
-        let already_wired = fleet.data_correlation().directed_rates(a, b).is_some();
-        let first = fleet.advance_external(TimeSlot(1), &wire(2.0)).unwrap();
-        assert_eq!(first.connected.is_empty(), already_wired);
-        // Re-rating an existing pair is not a structural change.
-        let second = fleet.advance_external(TimeSlot(2), &wire(9.0)).unwrap();
-        assert!(second.connected.is_empty());
+        fleet.advance_external(TimeSlot(1), &wire(2.0)).unwrap();
+        // Re-rating an existing pair replaces its rates.
+        fleet.advance_external(TimeSlot(2), &wire(9.0)).unwrap();
         assert_eq!(
             fleet.data_correlation().directed_rates(a, b),
             Some((9.0, 9.0))
         );
+    }
+
+    #[test]
+    fn id_and_group_watermarks_survive_a_checkpoint() {
+        use crate::trace::TraceKind;
+        use geoplace_types::snap::{SnapReader, SnapWriter, Snapshot};
+        let arrival = |id| ExternalSlotEvents {
+            arrivals: vec![ExternalArrival {
+                id,
+                memory_gb: 2.0,
+                lifetime_slots: 4,
+                kind: TraceKind::Batch,
+                trace_seed: 1,
+            }],
+            ..ExternalSlotEvents::default()
+        };
+        let mut fleet = small_fleet(14);
+        fleet.advance_to(TimeSlot(3));
+        let far = VmId(fleet.fresh_vm_id().0 + 100);
+        fleet.advance_external(TimeSlot(4), &arrival(far)).unwrap();
+        assert_eq!(fleet.fresh_vm_id(), VmId(far.0 + 1));
+        let mut w = SnapWriter::new();
+        fleet.save_state(&mut w);
+        let bytes = w.into_bytes();
+        // The target's own watermarks are higher: a restore recomputes
+        // them from the restored history.
+        let mut restored = small_fleet(14);
+        restored
+            .advance_external(TimeSlot(1), &arrival(VmId(1_000_000)))
+            .unwrap();
+        restored
+            .restore_state(&mut SnapReader::new("fleet", &bytes))
+            .unwrap();
+        assert_eq!(restored.fresh_vm_id(), fleet.fresh_vm_id());
+        // The next external arrival lands in the same fresh group.
+        let next = fleet.fresh_vm_id();
+        for f in [&mut fleet, &mut restored] {
+            f.advance_external(TimeSlot(5), &arrival(next)).unwrap();
+        }
+        let group = fleet.vm(next).unwrap().group();
+        assert_eq!(restored.vm(next).unwrap().group(), group);
+        assert!(fleet.vm(far).unwrap().group() < group);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! The engine's world-advance phase does not care *where* churn comes
 //! from: it asks a [`DeltaSource`] to move the fleet one slot boundary
-//! forward and hands the resulting [`FleetDelta`] to the incremental
-//! observation pipeline. The synthetic arrival process is one producer
+//! forward, reads the moved fleet, and hands the resulting
+//! [`FleetDelta`] back to its driver to report the churn. The synthetic
+//! arrival process is one producer
 //! ([`SyntheticSource`]); an external driver feeding validated
 //! arrival/departure/traffic events (an orchestrator, a trace replayer,
 //! the `geoplace-serve` JSON session) is another

@@ -439,35 +439,53 @@ proptest! {
         }
     }
 
-    /// The incremental traffic-CSR cache emits a graph bit-identical to
-    /// the from-scratch build at every churn step.
+    /// One traffic graph refilled across churn (multi-boundary jumps,
+    /// and an arena that shrinks to nothing) equals a fresh build every
+    /// time, and every row holds exactly its VM's in-arena pairs with the
+    /// map's directed rates, sorted by neighbor id.
     #[test]
-    fn traffic_cache_equals_from_scratch_under_churn(
+    fn traffic_graph_refill_equals_fresh_build_under_churn(
         seed in 0u64..300,
         initial_groups in 1u32..16,
         groups_per_slot in 0.0f64..5.0,
         mean_lifetime in 1.0f64..8.0,
-        slots in 1u32..14,
+        jumps in proptest::collection::vec(1u32..4, 1..8),
     ) {
-        use geoplace_workload::graph::TrafficGraphCache;
+        use geoplace_workload::graph::TrafficGraph;
         let mut config = FleetConfig::default();
         config.arrivals.seed = seed;
         config.arrivals.initial_groups = initial_groups;
         config.arrivals.groups_per_slot = groups_per_slot;
         config.arrivals.mean_lifetime_slots = mean_lifetime;
         let mut fleet = VmFleet::new(config).unwrap();
-        let mut cache = TrafficGraphCache::new();
-        cache.rebuild(fleet.data_correlation());
-        for s in 1..=slots {
-            let delta = fleet.advance_to(TimeSlot(s));
-            cache.apply_delta(&delta.departed, &delta.connected, fleet.data_correlation());
-            let arena = VmArena::from_ids(fleet.active());
-            let expected = fleet.data_correlation().traffic_graph(&arena);
-            prop_assert_eq!(
-                cache.emit(fleet.data_correlation(), &arena),
-                &expected,
-                "slot {}", s
-            );
+        let mut graph = TrafficGraph::default();
+        let mut slot = 0u32;
+        for jump in jumps {
+            slot += jump;
+            fleet.advance_to(TimeSlot(slot));
+            let data = fleet.data_correlation();
+            for arena in [VmArena::from_ids(fleet.active()), VmArena::default()] {
+                graph.refill(data, &arena);
+                prop_assert_eq!(&graph, &data.traffic_graph(&arena), "slot {}", slot);
+                let in_arena = data
+                    .iter()
+                    .filter(|&(lo, hi, _)| arena.contains(lo) && arena.contains(hi))
+                    .count();
+                prop_assert_eq!(graph.edge_count(), in_arena * 2);
+                for i in 0..graph.len() {
+                    let vm = arena.id(i as u32);
+                    let row = graph.row(i);
+                    for pair in row.windows(2) {
+                        prop_assert!(arena.id(pair[0].target) < arena.id(pair[1].target));
+                    }
+                    for edge in row {
+                        prop_assert_eq!(
+                            data.directed_rates(vm, arena.id(edge.target)),
+                            Some((edge.out_rate, edge.in_rate))
+                        );
+                    }
+                }
+            }
         }
     }
 }
